@@ -1,6 +1,6 @@
 """Gaussian continuous-variable entanglement distribution with a separable carrier.
 
-Covariance-matrix toolkit (symplectic spectra, PPT and invariant-product
+Covariance-matrix toolkit (symplectic spectra, PPT and sigma-product
 separability criteria), the three-step distribution protocol and its
 gain-based recovery variant, a shot-based Monte Carlo oracle, and a CLI.
 """
@@ -50,8 +50,6 @@ from .symplectic import (
     CovarianceMatrix,
     SeparabilityVerdict,
     SpectrumError,
-    SymplecticForm,
-    SymplecticInvariants,
     is_physical,
     log_negativity,
     partial_transpose,
@@ -61,7 +59,6 @@ from .symplectic import (
     sigma_verdict,
     symplectic_eigenvalues,
     symplectic_form,
-    symplectic_invariants,
 )
 
 __version__ = "0.1.0"
@@ -72,8 +69,6 @@ __all__ = [
     "CovarianceMatrix",
     "SeparabilityVerdict",
     "SpectrumError",
-    "SymplecticForm",
-    "SymplecticInvariants",
     "is_physical",
     "log_negativity",
     "partial_transpose",
@@ -83,7 +78,6 @@ __all__ = [
     "sigma_verdict",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "symplectic_invariants",
     # states
     "NoiseModel",
     "SymplecticTransform",

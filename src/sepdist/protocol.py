@@ -40,12 +40,11 @@ from .symplectic import (
     SIGMA_Z,
     CovarianceMatrix,
     SeparabilityVerdict,
+    _eigenvalue_resolution,
     is_physical,
     log_negativity,
     partial_transpose,
-    ppt_lower_eigenvalue,
     ppt_verdict,
-    separability_product,
     sigma_verdict,
     symplectic_eigenvalues,
 )
@@ -54,8 +53,6 @@ __all__ = [
     "MODE_SENDER",
     "MODE_RECEIVER",
     "MODE_CARRIER",
-    "LEGACY_PROTOCOL_NU",
-    "LEGACY_PROTOCOL_LOG_NEGATIVITY",
     "ConsistencyError",
     "ProtocolParams",
     "StepReport",
@@ -79,11 +76,6 @@ _STEP_LABELS = (
     "sender beam splitter",
     "receiver beam splitter",
 )
-
-# Best values attainable by the earlier rotated-squeezed-state distribution
-# scheme, quoted for comparison only; they are not recomputable here.
-LEGACY_PROTOCOL_NU = 0.9299
-LEGACY_PROTOCOL_LOG_NEGATIVITY = 0.1048
 
 _NO_ENTANGLEMENT_NOTE = "no distillable Gaussian entanglement witnessed by PPT"
 
@@ -332,18 +324,17 @@ def run_distribution_protocol(
             raise ConsistencyError(f"{label} CM is not physical")
 
     carrier_spectrum = symplectic_eigenvalues(partial_transpose(step2, MODE_CARRIER))
+    sender_spectrum = symplectic_eigenvalues(partial_transpose(step2, MODE_SENDER))
     carrier_ppt_min = float(carrier_spectrum[0])
-    sender_ppt_min = float(symplectic_eigenvalues(partial_transpose(step2, MODE_SENDER))[0])
+    sender_ppt_min = float(sender_spectrum[0])
     if params.excess == 0.0:
-        # Conditioning of the cubic route degrades with the largest squared
-        # eigenvalue, hence the scale-aware tolerance.
-        atol = max(1e-10, 1e-13 * max(1.0, math.cosh(2.0 * params.t) ** 2, x * x))
+        carrier_atol = _eigenvalue_resolution(float(carrier_spectrum[-1]))
         carrier_closed = carrier_ppt_eigenvalue(params.t, x)
         _cross_check(
             "carrier threshold root",
             float(np.abs(carrier_spectrum - carrier_closed).min()),
             0.0,
-            atol,
+            carrier_atol,
         )
         # The transposed carrier spectrum carries a spectator root at e^{2t};
         # the minimum is whichever of it and the threshold root is smaller.
@@ -351,13 +342,13 @@ def run_distribution_protocol(
             "carrier PT eigenvalue",
             carrier_ppt_min,
             min(carrier_closed, params.e2t),
-            atol,
+            carrier_atol,
         )
         _cross_check(
             "sender PT eigenvalue",
             sender_ppt_min,
             sender_ppt_eigenvalue(params.t, x),
-            atol,
+            _eigenvalue_resolution(float(sender_spectrum[-1])),
         )
 
     steps = tuple(
@@ -370,11 +361,10 @@ def run_distribution_protocol(
         for i, cm in enumerate((step1, step2, step3))
     )
 
-    carrier_sigma = separability_product(step3, MODE_CARRIER)
     carrier_sigma_verdict = sigma_verdict(step3, MODE_CARRIER, tol)
     final_ab = reduce_modes(step3, (MODE_SENDER, MODE_RECEIVER))
-    nu = ppt_lower_eigenvalue(final_ab, 1)
     final_ab_verdict = ppt_verdict(final_ab, 1, tol)
+    nu = final_ab_verdict.witness
     en, note = _gated_log_negativity(nu, final_ab_verdict)
 
     carrier_step2 = steps[1].verdicts[MODE_CARRIER]
@@ -387,7 +377,7 @@ def run_distribution_protocol(
         carrier_separable=not carrier_step2.entangled,
         carrier_ppt_min=carrier_ppt_min,
         sender_ppt_min=sender_ppt_min,
-        carrier_sigma=carrier_sigma,
+        carrier_sigma=carrier_sigma_verdict.witness,
         carrier_sigma_verdict=carrier_sigma_verdict,
         final_ab=final_ab,
         final_ab_verdict=final_ab_verdict,
@@ -437,13 +427,12 @@ def run_recovery_protocol(
     classical[2:4, 2:4] = gain
     noise = displacement_noise_model(x).matrix()
     cm = CovarianceMatrix(mixer @ quantum.matrix @ mixer.T + classical @ noise @ classical.T)
-    nu_ac = ppt_lower_eigenvalue(cm, 1)
     verdict = ppt_verdict(cm, 1, tol)
-    en, _ = _gated_log_negativity(nu_ac, verdict)
+    en, _ = _gated_log_negativity(verdict.witness, verdict)
     return RecoveryReport(
         gain=gain,
         cm=cm,
-        nu_ac=nu_ac,
+        nu_ac=verdict.witness,
         log_negativity=en,
         purity_det=float(np.linalg.det(cm.matrix)),
     )

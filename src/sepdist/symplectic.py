@@ -7,12 +7,18 @@ eigenvalue is >= 1.  Partial transposition flips the sign of one mode's
 momentum; positivity of the transposed CM settles separability for every
 1 x (n-1) bipartition of a Gaussian state.
 
+Every symplectic spectrum, of a CM or of its partial transpose, for any
+number of modes, comes from one route: the eigenvalues of the Hermitian
+matrix sqrt(cm) (i form) sqrt(cm), which are +-s_j.  Every tolerance on a
+symplectic eigenvalue comes from one resolution model, about machine epsilon
+times the largest eigenvalue of the spectrum at hand.
+
 Everything in this module is a pure function on immutable values.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,15 +30,12 @@ __all__ = [
     "SYMMETRY_TOL",
     "SEPARABILITY_TOL",
     "SpectrumError",
-    "SymplecticForm",
     "CovarianceMatrix",
-    "SymplecticInvariants",
     "SeparabilityVerdict",
     "symplectic_form",
     "is_physical",
     "partial_transpose",
     "symplectic_eigenvalues",
-    "symplectic_invariants",
     "separability_product",
     "ppt_lower_eigenvalue",
     "log_negativity",
@@ -64,29 +67,12 @@ class SpectrumError(ArithmeticError):
     """A symplectic spectrum could not be extracted; the input is not a valid CM."""
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Block-diagonal antisymmetric form encoding the canonical commutators."""
-
-    n_modes: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValueError("symplectic form has wrong shape")
-        if np.abs(m + m.T).max() > SYMMETRY_TOL:
-            raise ValueError("symplectic form must be antisymmetric")
-        if np.abs(m @ m + np.eye(2 * self.n_modes)).max() > SYMMETRY_TOL:
-            raise ValueError("symplectic form must square to -identity")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-
-def symplectic_form(n_modes: int) -> SymplecticForm:
-    """Direct sum of `n_modes` copies of the single-mode block J."""
+@functools.cache
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Direct sum of `n_modes` copies of the single-mode block J (read-only, cached)."""
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    return SymplecticForm(n_modes=n_modes, matrix=np.kron(np.eye(n_modes), J))
+    return _readonly(np.kron(np.eye(n_modes), J))
 
 
 @dataclass(frozen=True)
@@ -125,28 +111,14 @@ class CovarianceMatrix:
 
 
 @dataclass(frozen=True)
-class SymplecticInvariants:
-    """Even characteristic-polynomial coefficients of (form @ cm) for three modes.
-
-    For symplectic eigenvalues s_1, s_2, s_3 these are the elementary
-    symmetric functions of the squares: i1 = sum s_j^2, i2 = sum of pairwise
-    products s_j^2 s_k^2, i3 = product of all s_j^2 = det(cm).
-    """
-
-    i1: float
-    i2: float
-    i3: float
-
-
-@dataclass(frozen=True)
 class SeparabilityVerdict:
     """Outcome of a single separability test on one bipartition.
 
     `witness` is the lowest symplectic eigenvalue of the partial transpose
-    (criterion "ppt_eigenvalue", threshold 1) or the invariant product
-    (criterion "sigma", threshold 0).  Witnesses inside the tolerance band
-    around the threshold are reported as "boundary", never silently rounded
-    to either side.
+    (criterion "ppt_eigenvalue", threshold 1) or the product of (s_j^2 - 1)
+    over that spectrum (criterion "sigma", threshold 0).  Witnesses inside
+    the tolerance band around the threshold are reported as "boundary",
+    never silently rounded to either side.
     """
 
     bipartition: str
@@ -166,8 +138,13 @@ def _mode_in_range(cm: CovarianceMatrix, mode: int) -> None:
 
 
 def is_physical(cm: CovarianceMatrix, tol: float = SEPARABILITY_TOL) -> bool:
-    """True when every symplectic eigenvalue of `cm` is >= 1 - tol."""
-    return float(symplectic_eigenvalues(cm)[0]) >= 1.0 - tol
+    """True when every symplectic eigenvalue of `cm` is >= 1 - tol.
+
+    The band widens to the numerical resolution of the spectrum when that is
+    coarser than `tol`, as for the verdicts.
+    """
+    spectrum = symplectic_eigenvalues(cm)
+    return float(spectrum[0]) >= 1.0 - max(tol, _eigenvalue_resolution(float(spectrum[-1])))
 
 
 def partial_transpose(cm: CovarianceMatrix, mode: int) -> CovarianceMatrix:
@@ -181,187 +158,47 @@ def partial_transpose(cm: CovarianceMatrix, mode: int) -> CovarianceMatrix:
     return CovarianceMatrix(cm.matrix * np.outer(signs, signs))
 
 
-def _principal_minor_sum(matrix: np.ndarray, order: int) -> float:
-    total = 0.0
-    for rows in itertools.combinations(range(matrix.shape[0]), order):
-        sub = matrix[np.ix_(rows, rows)]
-        total += float(np.linalg.det(sub))
-    return total
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
+    """Symplectic eigenvalues of `cm`, ascending, for any number of modes.
 
-
-def _polished_cubic_roots(i1: float, i2: float, i3: float) -> np.ndarray:
-    """Ascending real roots of lambda^3 - i1 lambda^2 + i2 lambda - i3.
-
-    Trigonometric three-real-root method, then Newton polishing of each root.
-    The polish step matters: for widely spread roots the trig formula loses
-    the small root to cancellation, while Newton restores it to near ulp.
+    The eigenvalues of the Hermitian matrix sqrt(cm) (i form) sqrt(cm) are
+    +-s_j, so a symmetric eigensolver applies and resolves every eigenvalue
+    of that matrix, clustered or not, to about machine epsilon times the
+    largest one.  With a = sqrt(cm) form sqrt(cm), the real symmetric matrix
+    [[0, -a], [a, 0]] is that Hermitian matrix written out in real and
+    imaginary parts: it has the same eigenvalues, each twice, and keeps the
+    solver in real arithmetic.
     """
-    a = -i1
-    p = i2 - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * i2 / 3.0 - i3
-    p_scale = max(1.0, abs(i1) ** 2, abs(i2))
-    if p > 1e-12 * p_scale:
-        raise SpectrumError("characteristic cubic has complex roots (unphysical input)")
-    if -p <= 1e-12 * p_scale:
-        # Degenerate triple root; for real-rooted cubics p ~ 0 forces q ~ 0.
-        lam = np.full(3, i1 / 3.0)
-    else:
-        arg = 3.0 * q / (2.0 * p) * math.sqrt(-3.0 / p)
-        if abs(arg) > 1.0 + 1e-9:
-            raise SpectrumError("characteristic cubic discriminant out of range")
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg) / 3.0
-        mag = 2.0 * math.sqrt(-p / 3.0)
-        lam = np.array(
-            [mag * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
-        )
-        lam += i1 / 3.0
-    for idx in range(3):
-        lam_k = float(lam[idx])
-        for _ in range(3):
-            f = ((lam_k - i1) * lam_k + i2) * lam_k - i3
-            fp = (3.0 * lam_k - 2.0 * i1) * lam_k + i2
-            fp_floor = 1e-14 * max(1.0, abs(i2), abs(i1 * lam_k), 3.0 * lam_k * lam_k)
-            if abs(fp) <= fp_floor:
-                break
-            step = f / fp
-            lam_k -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(lam_k)):
-                break
-        lam[idx] = lam_k
-    neg_tol = 1e-9 * max(1.0, abs(i1))
-    if np.any(lam < -neg_tol):
-        raise SpectrumError("negative cubic root beyond tolerance (unphysical input)")
-    return np.sort(np.clip(lam, 0.0, None))
-
-
-def _symmetric_route(matrix: np.ndarray) -> np.ndarray:
-    """Spectrum via the Hermitian form sqrt(cm) (i form) sqrt(cm), ascending.
-
-    Eigenvalues of the Hermitian product are +-s_j, so a symmetric
-    eigensolver applies and clustered eigenvalues stay accurate to roundoff
-    in absolute terms, where the characteristic polynomial loses half the
-    digits.
-    """
-    w, v = np.linalg.eigh(matrix)
-    if w.min() < -1e-9 * max(1.0, float(np.abs(w).max())):
+    w, v = np.linalg.eigh(cm.matrix)
+    if w[0] < -_eigenvalue_resolution(float(w[-1])):
         raise SpectrumError("matrix is not positive semidefinite")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    n = matrix.shape[0] // 2
-    form = np.kron(np.eye(n), J)
-    eigenvalues = np.linalg.eigvalsh(root @ (1j * form) @ root)
-    return eigenvalues[n:]
-
-
-def _degeneracy_refined(s: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    # Roots inside a cluster are sqrt(eps)-conditioned through the cubic;
-    # replace cluster members with values from the Hermitian route, keeping
-    # the cubic values for isolated roots (which it resolves better at
-    # extreme scales).
-    threshold = 1e-3 * max(1.0, float(s[-1]))
-    gaps = np.diff(s)
-    clustered = np.zeros(s.shape, dtype=bool)
-    clustered[:-1] |= gaps <= threshold
-    clustered[1:] |= gaps <= threshold
-    if not clustered.any():
-        return s
-    refined = np.where(clustered, _symmetric_route(matrix), s)
-    return np.sort(refined)
-
-
-def _two_mode_spectrum(cm: CovarianceMatrix, flip_coupling_det: bool) -> tuple[float, float]:
-    a_det = float(np.linalg.det(cm.matrix[0:2, 0:2]))
-    b_det = float(np.linalg.det(cm.matrix[2:4, 2:4]))
-    c_det = float(np.linalg.det(cm.matrix[0:2, 2:4]))
-    if flip_coupling_det:
-        c_det = -c_det
-    delta = a_det + b_det + 2.0 * c_det
-    full_det = float(np.linalg.det(cm.matrix))
-    disc = delta * delta - 4.0 * full_det
-    disc_tol = 1e-9 * max(1.0, delta * delta)
-    if disc < -disc_tol:
-        raise SpectrumError("two-mode discriminant negative beyond tolerance")
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
-    upper_sq = (delta + root) / 2.0
-    if upper_sq <= 0.0 or full_det < -disc_tol:
-        raise SpectrumError("two-mode spectrum is not real (unphysical input)")
-    # lower = 2 det / (delta + root) avoids the cancellation in (delta - root) / 2
-    lower_sq = max(2.0 * full_det / (delta + root), 0.0)
-    return math.sqrt(lower_sq), math.sqrt(upper_sq)
-
-
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
-    """Symplectic eigenvalues of `cm`, ascending.
-
-    One mode: sqrt(det).  Two modes: closed quadratic formula.  Three modes:
-    roots of the invariant cubic.  Larger systems are out of scope.
-    """
-    n = cm.n_modes
-    if n == 1:
-        det = float(np.linalg.det(cm.matrix))
-        if det < -1e-12:
-            raise SpectrumError("single-mode CM has negative determinant")
-        return np.array([math.sqrt(max(det, 0.0))])
-    if n == 2:
-        return np.array(_two_mode_spectrum(cm, flip_coupling_det=False))
-    if n == 3:
-        inv = symplectic_invariants(cm)
-        s = np.sqrt(_polished_cubic_roots(inv.i1, inv.i2, inv.i3))
-        return _degeneracy_refined(s, cm.matrix)
-    raise ValueError("symplectic_eigenvalues supports at most three modes")
-
-
-def symplectic_invariants(
-    cm: CovarianceMatrix, transposed_mode: int | None = None
-) -> SymplecticInvariants:
-    """Invariants of (form @ cm), optionally after partially transposing one mode.
-
-    Computed exactly as sums of principal minors, so no eigensolver is
-    involved.  Odd-order minor sums must vanish identically for any symmetric
-    input; they are checked against roundoff as a sanity guard.
-    """
-    if cm.n_modes != 3:
-        raise ValueError("symplectic invariants are defined here for three modes")
-    target = cm if transposed_mode is None else partial_transpose(cm, transposed_mode)
-    m = symplectic_form(3).matrix @ target.matrix
-    norm = max(1.0, float(np.abs(m).max()))
-    for order in (1, 3, 5):
-        odd = _principal_minor_sum(m, order) if order > 1 else float(np.trace(m))
-        if abs(odd) > 1e-10 * math.comb(6, order) * norm**order:
-            raise SpectrumError("odd characteristic coefficients do not vanish")
-    return SymplecticInvariants(
-        i1=_principal_minor_sum(m, 2),
-        i2=_principal_minor_sum(m, 4),
-        i3=float(np.linalg.det(m)),
-    )
+    dim = 2 * cm.n_modes
+    real_form = np.zeros((2 * dim, 2 * dim))
+    real_form[dim:, :dim] = root @ symplectic_form(cm.n_modes) @ root
+    real_form[:dim, dim:] = -real_form[dim:, :dim]
+    return np.linalg.eigvalsh(real_form)[dim::2]
 
 
 def separability_product(cm: CovarianceMatrix, mode: int) -> float:
-    """Product of (s_j^2 - 1) over the partial-transpose spectrum, via invariants.
+    """Product of (s_j^2 - 1) over the spectrum of `cm` partially transposed at `mode`.
 
-    Positive values certify separability of `mode` against the remaining two
+    Positive values certify separability of `mode` against the remaining
     modes; negative values witness entanglement.  Values at zero are
     inconclusive because an eigenvalue sitting exactly at 1 annihilates the
     product regardless of the others.
     """
-    _mode_in_range(cm, mode)
-    inv = symplectic_invariants(cm, transposed_mode=mode)
-    return inv.i3 - inv.i2 + inv.i1 - 1.0
+    return sigma_verdict(cm, mode).witness
 
 
 def ppt_lower_eigenvalue(cm: CovarianceMatrix, transposed_mode: int) -> float:
     """Lower symplectic eigenvalue of a two-mode CM after partial transposition.
 
-    Uses the closed two-mode formula in which transposing either mode flips
-    the sign of the coupling-block determinant; the full determinant is
-    unchanged.  Values below 1 witness entanglement of the pair.
+    Values below 1 witness entanglement of the pair.
     """
     if cm.n_modes != 2:
         raise ValueError("ppt_lower_eigenvalue expects a two-mode CM")
-    _mode_in_range(cm, transposed_mode)
-    lower, _ = _two_mode_spectrum(cm, flip_coupling_det=True)
-    return lower
+    return float(symplectic_eigenvalues(partial_transpose(cm, transposed_mode))[0])
 
 
 def log_negativity(nu: float) -> float:
@@ -371,13 +208,13 @@ def log_negativity(nu: float) -> float:
     return max(0.0, -math.log2(nu))
 
 
-#: Safety factor on first-order rounding bounds used to widen verdict bands.
+#: Safety factor on the first-order rounding bound of a symplectic eigenvalue.
 _RESOLUTION_SAFETY = 100.0
 
 
 def _eigenvalue_resolution(s_max: float) -> float:
-    # Entry rounding of the CM perturbs every symplectic eigenvalue by about
-    # machine epsilon times the largest one (Hermitian-form Weyl bound).
+    # Rounding in the Hermitian form perturbs every symplectic eigenvalue by
+    # about machine epsilon times the largest one (Weyl bound).
     return _RESOLUTION_SAFETY * float(np.finfo(float).eps) * max(1.0, s_max)
 
 
@@ -413,12 +250,8 @@ def ppt_verdict(
     distinctions numerically meaningless; the effective band is recorded in
     the verdict's tolerance field.
     """
-    _mode_in_range(cm, mode)
     spectrum = symplectic_eigenvalues(partial_transpose(cm, mode))
-    if cm.n_modes == 2:
-        witness = ppt_lower_eigenvalue(cm, mode)
-    else:
-        witness = float(spectrum[0])
+    witness = float(spectrum[0])
     effective_tol = max(tol, _eigenvalue_resolution(float(spectrum[-1])))
     return SeparabilityVerdict(
         bipartition=_bipartition_label(cm.n_modes, mode),
@@ -432,22 +265,21 @@ def ppt_verdict(
 def sigma_verdict(
     cm: CovarianceMatrix, mode: int, tol: float = SEPARABILITY_TOL
 ) -> SeparabilityVerdict:
-    """Separability verdict from the invariant product (three modes only).
+    """Separability verdict from the product of (s_j^2 - 1) over the PT spectrum.
 
     Strictly positive witnesses are sufficient for separability; a witness at
     zero is reported as "boundary" because the product criterion is
     inconclusive when some eigenvalue equals 1.
 
-    The product is a difference of invariants that can dwarf it by many
-    orders of magnitude at large squeezing, so the boundary band is widened
-    to the first-order rounding resolution sum_j (2 s_j u) prod_{k!=j}
-    |s_k^2 - 1| with u the per-eigenvalue resolution; below that the sign of
-    the computed product carries no information and the verdict honestly
-    reads "boundary".
+    At large squeezing the factors span many orders of magnitude, so the
+    boundary band is widened to the first-order rounding resolution
+    sum_j (2 s_j u) prod_{k!=j} |s_k^2 - 1| with u the per-eigenvalue
+    resolution; below that the sign of the computed product carries no
+    information and the verdict honestly reads "boundary".
     """
-    witness = separability_product(cm, mode)
     spectrum = symplectic_eigenvalues(partial_transpose(cm, mode))
     factors = spectrum**2 - 1.0
+    witness = float(np.prod(factors))
     u = _eigenvalue_resolution(float(spectrum[-1]))
     resolution = 0.0
     for j in range(spectrum.size):

@@ -1,20 +1,20 @@
 """Shared test oracles: independent eigensolver route and random CM generators.
 
-The production code computes symplectic spectra from characteristic-polynomial
-invariants; the oracle here goes through numpy's general eigensolver on
-(form @ cm), so the two routes share no code.
+The production code computes symplectic spectra with a symmetric eigensolver
+on the Hermitian matrix sqrt(cm) (i form) sqrt(cm); the oracle here goes
+through numpy's general eigensolver on (form @ cm) with its own copy of the
+form, so the two routes share no code.
 """
 
 import numpy as np
 import pytest
 
-from sepdist.symplectic import J, CovarianceMatrix
+from sepdist.symplectic import CovarianceMatrix
 
 
 def oracle_symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     """Moduli of the eigenvalues of (form @ cm), one per +-i pair, ascending."""
-    n = cm.n_modes
-    form = np.kron(np.eye(n), J)
+    form = np.kron(np.eye(cm.n_modes), [[0.0, -1.0], [1.0, 0.0]])
     eigenvalues = np.linalg.eigvals(form @ cm.matrix)
     moduli = np.sort(np.abs(eigenvalues.imag))
     return moduli[1::2]

@@ -5,9 +5,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sepdist.cli import EXIT_CONSISTENCY, EXIT_OK, EXIT_USAGE, db_to_e2t, e2t_to_db, main
+from sepdist.symplectic import CovarianceMatrix
+
+from conftest import oracle_symplectic_eigenvalues
+from test_symplectic import final_state_cm, mixed_state_cm
 
 
 def run_cli(capsys, *argv):
@@ -234,3 +239,41 @@ class TestRegression:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert len(payload["rows"]) == 10
+
+
+def _oracle_pt_min(matrix, mode: int) -> tuple[float, float]:
+    """Oracle lowest PT eigenvalue of a CM, with the 1000 eps s_max agreement band."""
+    m = np.array(matrix, dtype=float)
+    signs = np.ones(m.shape[0])
+    signs[2 * mode + 1] = -1.0
+    spectrum = oracle_symplectic_eigenvalues(CovarianceMatrix(m * np.outer(signs, signs)))
+    return float(spectrum[0]), 1000.0 * np.finfo(float).eps * max(1.0, float(spectrum[-1]))
+
+
+class TestLargeScale:
+    """States physical by construction at large e2t or x: exit 0, values match the oracle."""
+
+    @pytest.mark.parametrize("argv", [("--e2t", "1e7"), ("--e2t", "2", "--x", "1e9")])
+    def test_distribute(self, capsys, argv):
+        code, out = run_cli(capsys, "distribute", *argv, "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        ent = payload["entanglement"]
+        tau3, tau3_tol = _oracle_pt_min(payload["steps"][1]["cm"], 2)
+        assert abs(ent["tau3"] - tau3) <= tau3_tol
+        final_ab = np.array(payload["steps"][2]["cm"])[0:4, 0:4]
+        nu, nu_tol = _oracle_pt_min(final_ab, 1)
+        assert abs(ent["nu"] - nu) <= nu_tol
+
+    def test_sweep(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--e2t-stop", "1e7", "--format", "csv")
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 40
+        for row in rows:
+            e2t, x = float(row["e2t"]), float(row["x"])
+            tau3, tau3_tol = _oracle_pt_min(mixed_state_cm(e2t, x).matrix, 2)
+            assert abs(float(row["tau3"]) - tau3) <= tau3_tol
+            final_ab = final_state_cm(e2t, x).matrix[0:4, 0:4]
+            nu, nu_tol = _oracle_pt_min(final_ab, 1)
+            assert abs(float(row["nu"]) - nu) <= nu_tol

@@ -18,7 +18,6 @@ from sepdist.symplectic import (
     sigma_verdict,
     symplectic_eigenvalues,
     symplectic_form,
-    symplectic_invariants,
 )
 
 from conftest import oracle_symplectic_eigenvalues, random_cm
@@ -60,20 +59,31 @@ def final_state_cm(e2t: float, x: float) -> CovarianceMatrix:
     )
 
 
+def squared_spectrum_invariants(cm: CovarianceMatrix) -> np.ndarray:
+    """Elementary symmetric functions (i1, i2, ...) of the squared symplectic spectrum."""
+    coefficients = np.poly(symplectic_eigenvalues(cm) ** 2)[1:]
+    return coefficients * (-1.0) ** np.arange(1, coefficients.size + 1)
+
+
 class TestSymplecticForm:
     def test_single_mode_block(self):
         form = symplectic_form(1)
-        np.testing.assert_array_equal(form.matrix, [[0.0, -1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(form, [[0.0, -1.0], [1.0, 0.0]])
 
     def test_three_modes_is_direct_sum(self):
         form = symplectic_form(3)
         expected = np.zeros((6, 6))
         for k in range(3):
             expected[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[0, -1], [1, 0]]
-        np.testing.assert_array_equal(form.matrix, expected)
+        np.testing.assert_array_equal(form, expected)
+
+    def test_cached_and_readonly(self):
+        assert symplectic_form(3) is symplectic_form(3)
+        with pytest.raises(ValueError):
+            symplectic_form(3)[0, 1] = 2.0
 
     def test_squares_to_minus_identity(self):
-        m = symplectic_form(2).matrix
+        m = symplectic_form(2)
         np.testing.assert_allclose(m @ m, -np.eye(4), atol=1e-15)
         assert np.abs(m + m.T).max() == 0.0
 
@@ -181,7 +191,7 @@ class TestSymplecticEigenvalues:
         np.testing.assert_allclose(symplectic_eigenvalues(cm), [low, 2.0, high], atol=1e-12)
 
     def test_matches_oracle_on_random_cms(self, rng):
-        for n_modes in (1, 2, 3):
+        for n_modes in (1, 2, 3, 4):
             for _ in range(40):
                 cm, spectrum = random_cm(n_modes, rng)
                 got = symplectic_eigenvalues(cm)
@@ -203,41 +213,35 @@ class TestSymplecticEigenvalues:
         with pytest.raises(SpectrumError):
             symplectic_eigenvalues(CovarianceMatrix(np.diag([1.0, -1.0])))
 
-    def test_four_modes_rejected(self):
-        with pytest.raises(ValueError):
-            symplectic_eigenvalues(CovarianceMatrix(np.eye(8)))
-
 
 class TestInvariants:
-    def test_vacuum(self):
-        inv = symplectic_invariants(CovarianceMatrix(np.eye(6)))
-        assert (inv.i1, inv.i2, inv.i3) == (3.0, 3.0, 1.0)
+    """Elementary symmetric functions of the squared spectrum (local symplectic invariants)."""
 
     def test_final_state_carrier_invariants(self):
         # Frozen from direct principal-minor evaluation at e2t=2, x=0.5.
-        inv = symplectic_invariants(final_state_cm(2.0, 0.5), transposed_mode=2)
-        np.testing.assert_allclose([inv.i1, inv.i2, inv.i3], [14.5625, 37.5625, 25.0], atol=1e-10)
+        cm = partial_transpose(final_state_cm(2.0, 0.5), 2)
+        np.testing.assert_allclose(
+            squared_spectrum_invariants(cm), [14.5625, 37.5625, 25.0], atol=1e-10
+        )
 
     def test_i3_equals_determinant(self, rng):
         for _ in range(25):
             cm, _ = random_cm(3, rng)
-            inv = symplectic_invariants(cm, transposed_mode=1)
-            np.testing.assert_allclose(inv.i3, np.linalg.det(cm.matrix), rtol=1e-9)
+            i3 = squared_spectrum_invariants(partial_transpose(cm, 1))[-1]
+            np.testing.assert_allclose(i3, np.linalg.det(cm.matrix), rtol=1e-9)
 
     def test_elementary_symmetric_reconstruction(self, rng):
+        # Newton's identities on M = form @ cm, whose eigenvalues are +-i s_j:
+        # i1 = -tr(M^2)/2, i2 = (i1^2 - tr(M^4)/2)/2, i3 = det(cm).
         for _ in range(25):
             cm, _ = random_cm(3, rng)
-            inv = symplectic_invariants(cm)
-            sq = symplectic_eigenvalues(cm) ** 2
-            np.testing.assert_allclose(inv.i1, sq.sum(), rtol=1e-9)
+            m = symplectic_form(3) @ cm.matrix
+            m2 = m @ m
+            i1 = -np.trace(m2) / 2.0
+            i2 = (i1 * i1 - np.trace(m2 @ m2) / 2.0) / 2.0
             np.testing.assert_allclose(
-                inv.i2, sq[0] * sq[1] + sq[0] * sq[2] + sq[1] * sq[2], rtol=1e-9
+                squared_spectrum_invariants(cm), [i1, i2, np.linalg.det(cm.matrix)], rtol=1e-9
             )
-            np.testing.assert_allclose(inv.i3, sq.prod(), rtol=1e-9)
-
-    def test_two_modes_rejected(self):
-        with pytest.raises(ValueError):
-            symplectic_invariants(CovarianceMatrix(np.eye(4)))
 
 
 class TestSeparabilityProduct:
@@ -277,9 +281,9 @@ class TestPptLowerEigenvalue:
     def test_agrees_with_general_routine(self, rng):
         for _ in range(100):
             cm, _ = random_cm(2, rng)
-            closed = ppt_lower_eigenvalue(cm, 1)
-            general = symplectic_eigenvalues(partial_transpose(cm, 1))[0]
-            assert abs(closed - general) <= 1e-10
+            lower = ppt_lower_eigenvalue(cm, 1)
+            general = oracle_symplectic_eigenvalues(partial_transpose(cm, 1))[0]
+            assert abs(lower - general) <= 1e-10
 
     def test_three_modes_rejected(self):
         with pytest.raises(ValueError):
