@@ -8,7 +8,6 @@ gain-based recovery variant, a shot-based Monte Carlo oracle, and a CLI.
 from .montecarlo import (
     ComparisonReport,
     EnsembleEstimate,
-    ShotRecord,
     SimulationResult,
     compare_estimate,
     estimate_cm,
@@ -109,7 +108,6 @@ __all__ = [
     # montecarlo
     "ComparisonReport",
     "EnsembleEstimate",
-    "ShotRecord",
     "SimulationResult",
     "compare_estimate",
     "estimate_cm",

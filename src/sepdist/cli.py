@@ -4,6 +4,10 @@ Exit codes: 0 on success, 2 when an internal consistency or validation check
 fails, 64 for usage errors.  Output formats: human-readable text (6
 significant digits), JSON and CSV (full double precision); see docs/formats.md
 for the field-level contract.
+
+Each command handler validates its own flags and returns one `Output` that
+holds its result in all three forms; `main` renders the requested one and
+writes it to stdout or `--output`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .protocol import (
     sweep,
 )
 
-__all__ = ["main", "build_parser", "RunConfig", "EXIT_OK", "EXIT_CONSISTENCY", "EXIT_USAGE"]
+__all__ = ["main", "build_parser", "EXIT_OK", "EXIT_CONSISTENCY", "EXIT_USAGE"]
 
 EXIT_OK = 0
 EXIT_CONSISTENCY = 2
@@ -53,26 +57,19 @@ REGRESSION_ROWS = (
 )
 
 
-class UsageError(ValueError):
-    """Command-line arguments parsed but failed semantic validation."""
+class Output(NamedTuple):
+    """One command's result, built once in every output form.
 
+    `record` is the JSON payload documented in docs/formats.md, `header` and
+    `rows` are the CSV table, `text` is the human-readable report; `passed`
+    selects exit code 0 or 2.
+    """
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration; fields unused by a subcommand stay None."""
-
-    command: str
-    t: float | None
-    x: float | str
-    excess: float
-    gain: np.ndarray | None
-    samples: int | None
-    seed: int | None
-    sigma: float | None
-    grid: tuple[float, float, int] | None
-    with_recovery: bool
-    fmt: str
-    output: str | None
+    passed: bool
+    record: dict
+    header: tuple[str, ...]
+    rows: list[tuple]
+    text: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,55 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _squeezing_t(args) -> float:
-    if args.e2t is not None:
-        e2t = args.e2t
-    else:
-        e2t = db_to_e2t(args.squeezing_db)
+    try:
+        e2t = args.e2t if args.e2t is not None else db_to_e2t(args.squeezing_db)
+    except OverflowError:  # 10^(dB/10) beyond the largest double
+        e2t = math.inf
     if not math.isfinite(e2t) or e2t <= 0.0:
-        raise UsageError("e2t must be a finite positive number")
+        raise ValueError("e2t must be a finite positive number")
     if e2t < 1.0:
-        raise UsageError("e2t must be >= 1 (antisqueezing is out of range)")
+        raise ValueError("e2t must be >= 1 (antisqueezing is out of range)")
     return 0.5 * math.log(e2t)
-
-
-def _config_from_args(args) -> RunConfig:
-    """Validate parsed flags into a RunConfig; raises UsageError on bad values."""
-    command = args.command
-    t = _squeezing_t(args) if command in ("distribute", "recover", "mc-validate") else None
-    x = _parse_x(args.x) if hasattr(args, "x") else "auto"
-    excess = getattr(args, "excess", 0.0)
-    if not math.isfinite(excess) or excess < 0.0:
-        raise UsageError("--excess must be >= 0")
-    gain = _parse_gain(args.gain) if command == "recover" else None
-    samples = seed = sigma = None
-    if command == "mc-validate":
-        samples, seed, sigma = args.samples, args.seed, args.sigma
-        if samples < 1000:
-            raise UsageError("--samples must be >= 1000")
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise UsageError("--sigma must be > 0")
-    grid = None
-    if command == "sweep":
-        if args.points < 1:
-            raise UsageError("--points must be >= 1")
-        for value, name in ((args.e2t_start, "--e2t-start"), (args.e2t_stop, "--e2t-stop")):
-            if not math.isfinite(value) or value < 1.0:
-                raise UsageError(f"{name} must be >= 1")
-        grid = (args.e2t_start, args.e2t_stop, args.points)
-    return RunConfig(
-        command=command,
-        t=t,
-        x=x,
-        excess=excess,
-        gain=gain,
-        samples=samples,
-        seed=seed,
-        sigma=sigma,
-        grid=grid,
-        with_recovery=getattr(args, "with_recovery", False),
-        fmt=args.fmt,
-        output=args.output,
-    )
 
 
 def _parse_x(raw) -> float | str:
@@ -212,10 +169,23 @@ def _parse_x(raw) -> float | str:
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise UsageError(f"--x must be 'auto' or a number, got {raw!r}") from None
+        raise ValueError(f"--x must be 'auto' or a number, got {raw!r}") from None
     if not math.isfinite(value) or value < 0.0:
-        raise UsageError("--x must be >= 0")
+        raise ValueError("--x must be >= 0")
     return value
+
+
+def _parse_excess(value: float) -> float:
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError("--excess must be >= 0")
+    return value
+
+
+def _params(args) -> ProtocolParams:
+    """Validate the squeezing flag, --x and --excess, in that order."""
+    t = _squeezing_t(args)
+    x = _parse_x(args.x)
+    return ProtocolParams(t=t, x=x, excess=_parse_excess(args.excess))
 
 
 def _parse_gain(raw: str) -> np.ndarray:
@@ -223,26 +193,14 @@ def _parse_gain(raw: str) -> np.ndarray:
         return np.eye(2)
     parts = raw.split(",")
     if len(parts) != 4:
-        raise UsageError("--gain must be 'identity' or four comma-separated reals")
+        raise ValueError("--gain must be 'identity' or four comma-separated reals")
     try:
         values = [float(p) for p in parts]
     except ValueError:
-        raise UsageError("--gain entries must be numbers") from None
+        raise ValueError("--gain entries must be numbers") from None
     if not all(math.isfinite(v) for v in values):
-        raise UsageError("--gain entries must be finite")
+        raise ValueError("--gain entries must be finite")
     return np.array(values).reshape(2, 2)
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
 
 
 def _fmt(value: float) -> str:
@@ -314,19 +272,6 @@ def report_payload(report: ProtocolReport) -> dict:
     }
 
 
-def _sweep_row_values(row) -> tuple:
-    return (row.e2t, row.x, row.tau3, row.omega3, row.sigma, row.nu, row.log_negativity)
-
-
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    return buffer.getvalue()
-
-
 def _report_text(report: ProtocolReport) -> str:
     params = report.params
     policy = " (auto)" if params.x == "auto" else ""
@@ -363,91 +308,71 @@ def _report_text(report: ProtocolReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_distribute(config: RunConfig) -> int:
-    params = ProtocolParams(t=config.t, x=config.x, excess=config.excess)
-    report = run_distribution_protocol(params, include_recovery=config.with_recovery)
-    if config.fmt == "json":
-        text = json.dumps(report_payload(report), indent=2)
-    elif config.fmt == "csv":
-        row = (
-            report.params.e2t,
-            report.params.resolved_x,
-            report.carrier_ppt_min,
-            report.sender_ppt_min,
-            report.carrier_sigma,
-            report.nu,
-            report.log_negativity,
-        )
-        text = _csv_text(SWEEP_CSV_HEADER, [row])
-    else:
-        text = _report_text(report)
-    _emit(text, config.output)
-    return EXIT_OK
+def _cmd_distribute(args) -> Output:
+    report = run_distribution_protocol(_params(args), include_recovery=args.with_recovery)
+    record = report_payload(report)
+    params, ent = record["params"], record["entanglement"]
+    row = (params["e2t"], params["x"], *(ent[name] for name in SWEEP_CSV_HEADER[2:]))
+    return Output(True, record, SWEEP_CSV_HEADER, [row], _report_text(report))
 
 
-def _cmd_recover(config: RunConfig) -> int:
-    params = ProtocolParams(t=config.t, x=config.x, excess=config.excess)
-    report = run_recovery_protocol(params, config.gain)
-    if config.fmt == "json":
-        payload = {"params": _params_payload(params), "recovery": _recovery_payload(report)}
-        text = json.dumps(payload, indent=2)
-    elif config.fmt == "csv":
-        header = ("e2t", "x", "g11", "g12", "g21", "g22", "nu_ac", "log_negativity", "purity_det")
-        row = (
-            params.e2t,
-            params.resolved_x,
-            *[float(v) for v in report.gain.ravel()],
-            report.nu_ac,
-            report.log_negativity,
-            report.purity_det,
-        )
-        text = _csv_text(header, [row])
-    else:
-        text = "\n".join(
-            [
-                f"recovery run: e2t={_fmt(params.e2t)}  x={_fmt(params.resolved_x)}  "
-                f"excess={_fmt(params.excess)}",
-                f"gain = {np.array2string(report.gain, precision=6)}",
-                f"nu_ac = {_fmt(report.nu_ac)}  (input two-mode value e^-2t = {_fmt(math.exp(-2 * params.t))})",
-                f"log_negativity = {_fmt(report.log_negativity)} ebits",
-                f"purity determinant = {_fmt(report.purity_det)}",
-            ]
-        )
-    _emit(text, config.output)
-    return EXIT_OK
+def _cmd_recover(args) -> Output:
+    params = _params(args)
+    report = run_recovery_protocol(params, _parse_gain(args.gain))
+    record = {"params": _params_payload(params), "recovery": _recovery_payload(report)}
+    rec = record["recovery"]
+    header = ("e2t", "x", "g11", "g12", "g21", "g22", "nu_ac", "log_negativity", "purity_det")
+    row = (
+        record["params"]["e2t"],
+        record["params"]["x"],
+        *rec["gain"][0],
+        *rec["gain"][1],
+        rec["nu_ac"],
+        rec["log_negativity"],
+        rec["purity_det"],
+    )
+    text = "\n".join(
+        [
+            f"recovery run: e2t={_fmt(params.e2t)}  x={_fmt(params.resolved_x)}  "
+            f"excess={_fmt(params.excess)}",
+            f"gain = {np.array2string(report.gain, precision=6)}",
+            f"nu_ac = {_fmt(report.nu_ac)}  (input two-mode value e^-2t = {_fmt(math.exp(-2 * params.t))})",
+            f"log_negativity = {_fmt(report.log_negativity)} ebits",
+            f"purity determinant = {_fmt(report.purity_det)}",
+        ]
+    )
+    return Output(True, record, header, [row], text)
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    start, stop, points = config.grid
-    if points == 1:
-        e2t_grid = np.array([start])
+def _cmd_sweep(args) -> Output:
+    x = _parse_x(args.x)
+    excess = _parse_excess(args.excess)
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
+    for value, name in ((args.e2t_start, "--e2t-start"), (args.e2t_stop, "--e2t-stop")):
+        if not math.isfinite(value) or value < 1.0:
+            raise ValueError(f"{name} must be >= 1")
+    if args.points == 1:
+        e2t_grid = np.array([args.e2t_start])
     else:
-        e2t_grid = np.geomspace(start, stop, points)
-    t_grid = 0.5 * np.log(e2t_grid)
-    result = sweep(t_grid, x_policy=config.x, excess=config.excess)
-    if config.fmt == "json":
-        payload = {
-            "rows": [dict(zip(SWEEP_CSV_HEADER, _sweep_row_values(r))) for r in result.rows],
-            "diagnostics": {
-                "nu_strictly_decreasing": result.nu_strictly_decreasing,
-                "final_nu": result.final_nu,
-                "final_log_negativity": result.final_log_negativity,
-            },
-        }
-        text = json.dumps(payload, indent=2)
-    elif config.fmt == "csv":
-        text = _csv_text(SWEEP_CSV_HEADER, [_sweep_row_values(r) for r in result.rows])
-    else:
-        lines = ["  ".join(f"{h:>13}" for h in SWEEP_CSV_HEADER)]
-        for row in result.rows:
-            lines.append("  ".join(f"{_fmt(v):>13}" for v in _sweep_row_values(row)))
-        lines.append(
-            f"nu strictly decreasing: {'yes' if result.nu_strictly_decreasing else 'NO'}"
-            f"  final nu={_fmt(result.final_nu)}"
-        )
-        text = "\n".join(lines)
-    _emit(text, config.output)
-    return EXIT_OK
+        e2t_grid = np.geomspace(args.e2t_start, args.e2t_stop, args.points)
+    result = sweep(0.5 * np.log(e2t_grid), x_policy=x, excess=excess)
+    rows = [(r.e2t, r.x, r.tau3, r.omega3, r.sigma, r.nu, r.log_negativity) for r in result.rows]
+    record = {
+        "rows": [dict(zip(SWEEP_CSV_HEADER, row)) for row in rows],
+        "diagnostics": {
+            "nu_strictly_decreasing": result.nu_strictly_decreasing,
+            "final_nu": result.final_nu,
+            "final_log_negativity": result.final_log_negativity,
+        },
+    }
+    lines = ["  ".join(f"{h:>13}" for h in SWEEP_CSV_HEADER)]
+    lines.extend("  ".join(f"{_fmt(v):>13}" for v in row) for row in rows)
+    lines.append(
+        f"nu strictly decreasing: {'yes' if result.nu_strictly_decreasing else 'NO'}"
+        f"  final nu={_fmt(result.final_nu)}"
+    )
+    return Output(True, record, SWEEP_CSV_HEADER, rows, "\n".join(lines))
 
 
 def _comparison_payload(name: str, comparison) -> dict:
@@ -460,58 +385,55 @@ def _comparison_payload(name: str, comparison) -> dict:
     }
 
 
-def _cmd_mc_validate(config: RunConfig) -> int:
-    params = ProtocolParams(t=config.t, x=config.x, excess=config.excess)
+def _cmd_mc_validate(args) -> Output:
+    params = _params(args)
+    if args.samples < 1000:
+        raise ValueError("--samples must be >= 1000")
+    if not math.isfinite(args.sigma) or args.sigma <= 0.0:
+        raise ValueError("--sigma must be > 0")
     analytic = run_distribution_protocol(params, include_recovery=True)
-    simulated = simulate_protocol(params, count=config.samples, seed=config.seed)
-    final_cmp = compare_estimate(simulated.final, analytic.steps[2].cm, config.sigma)
-    rec_cmp = compare_estimate(simulated.recovered, analytic.recovery.cm, config.sigma)
-    passed = final_cmp.passed and rec_cmp.passed
-    payload = {
+    simulated = simulate_protocol(params, count=args.samples, seed=args.seed)
+    final = compare_estimate(simulated.final, analytic.steps[2].cm, args.sigma)
+    recovered = compare_estimate(simulated.recovered, analytic.recovery.cm, args.sigma)
+    comparisons = (
+        ("final", "final (3-mode)", final),
+        ("recovered", "recovered (2-mode)", recovered),
+    )
+    passed = all(cmp_.passed for _, _, cmp_ in comparisons)
+    record = {
         "params": _params_payload(params),
-        "samples": config.samples,
-        "seed": config.seed,
-        "sigma": config.sigma,
-        "comparisons": [
-            _comparison_payload("final", final_cmp),
-            _comparison_payload("recovered", rec_cmp),
-        ],
+        "samples": args.samples,
+        "seed": args.seed,
+        "sigma": args.sigma,
+        "comparisons": [_comparison_payload(name, cmp_) for name, _, cmp_ in comparisons],
         "passed": passed,
         "note": "21 (final) + 10 (recovered) independent entries share the per-entry budget;"
         " a fixed seed makes the outcome reproducible",
     }
-    if config.fmt == "json":
-        text = json.dumps(payload, indent=2)
-    elif config.fmt == "csv":
-        header = ("target", "entry_row", "entry_col", "deviation_sigma", "passed")
-        rows = []
-        for name, cmp_ in (("final", final_cmp), ("recovered", rec_cmp)):
-            dim = cmp_.deviations.shape[0]
-            for j in range(dim):
-                for k in range(j, dim):
-                    rows.append(
-                        (name, j, k, float(cmp_.deviations[j, k]), not bool(cmp_.flagged[j, k]))
-                    )
-        text = _csv_text(header, rows)
-    else:
-        lines = [
-            f"mc validation: e2t={_fmt(params.e2t)}  x={_fmt(params.resolved_x)}  "
-            f"samples={config.samples}  seed={config.seed}  budget={_fmt(config.sigma)} sigma"
-        ]
-        for name, cmp_ in (("final (3-mode)", final_cmp), ("recovered (2-mode)", rec_cmp)):
-            status = "PASS" if cmp_.passed else "FAIL"
-            lines.append(
-                f"  {name:<18} max deviation {_fmt(cmp_.deviations.max())} sigma  [{status}]"
-            )
-            for j, k in zip(*np.nonzero(cmp_.flagged)):
-                if j <= k:
-                    lines.append(
-                        f"    entry ({j},{k}): {_fmt(cmp_.deviations[j, k])} sigma over budget"
-                    )
-        lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-        text = "\n".join(lines)
-    _emit(text, config.output)
-    return EXIT_OK if passed else EXIT_CONSISTENCY
+    header = ("target", "entry_row", "entry_col", "deviation_sigma", "passed")
+    rows = []
+    lines = [
+        f"mc validation: e2t={_fmt(params.e2t)}  x={_fmt(params.resolved_x)}  "
+        f"samples={args.samples}  seed={args.seed}  budget={_fmt(args.sigma)} sigma"
+    ]
+    for name, label, cmp_ in comparisons:
+        dim = cmp_.deviations.shape[0]
+        rows.extend(
+            (name, j, k, float(cmp_.deviations[j, k]), not bool(cmp_.flagged[j, k]))
+            for j in range(dim)
+            for k in range(j, dim)
+        )
+        status = "PASS" if cmp_.passed else "FAIL"
+        lines.append(
+            f"  {label:<18} max deviation {_fmt(cmp_.deviations.max())} sigma  [{status}]"
+        )
+        for j, k in zip(*np.nonzero(cmp_.flagged)):
+            if j <= k:
+                lines.append(
+                    f"    entry ({j},{k}): {_fmt(cmp_.deviations[j, k])} sigma over budget"
+                )
+    lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
+    return Output(passed, record, header, rows, "\n".join(lines))
 
 
 def _regression_computed() -> dict[tuple[str, str], float]:
@@ -539,44 +461,26 @@ def _regression_computed() -> dict[tuple[str, str], float]:
     return values
 
 
-def _cmd_regression(config: RunConfig) -> int:
+def _cmd_regression(args) -> Output:
     computed = _regression_computed()
+    header = ("case", "quantity", "expected", "computed", "abs_error", "tolerance", "passed")
     rows = []
-    all_pass = True
     for case, quantity, expected, tolerance in REGRESSION_ROWS:
         value = computed[(case, quantity)]
-        ok = abs(value - expected) <= tolerance
-        all_pass = all_pass and ok
-        rows.append(
-            {
-                "case": case,
-                "quantity": quantity,
-                "expected": expected,
-                "computed": value,
-                "abs_error": abs(value - expected),
-                "tolerance": tolerance,
-                "passed": ok,
-            }
-        )
-    if config.fmt == "json":
-        text = json.dumps({"rows": rows, "passed": all_pass}, indent=2)
-    elif config.fmt == "csv":
-        header = ("case", "quantity", "expected", "computed", "abs_error", "tolerance", "passed")
-        text = _csv_text(header, [tuple(r[h] for h in header) for r in rows])
-    else:
-        lines = [
-            f"{'case':<28} {'quantity':<16} {'expected':>12} {'computed':>12} {'tol':>8}  status"
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['case']:<28} {r['quantity']:<16} {_fmt(r['expected']):>12} "
-                f"{_fmt(r['computed']):>12} {_fmt(r['tolerance']):>8}  "
-                f"{'PASS' if r['passed'] else 'FAIL'}"
-            )
-        lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
-        text = "\n".join(lines)
-    _emit(text, config.output)
-    return EXIT_OK if all_pass else EXIT_CONSISTENCY
+        error = abs(value - expected)
+        rows.append((case, quantity, expected, value, error, tolerance, error <= tolerance))
+    passed = all(row[-1] for row in rows)
+    lines = [
+        f"{'case':<28} {'quantity':<16} {'expected':>12} {'computed':>12} {'tol':>8}  status"
+    ]
+    lines.extend(
+        f"{case:<28} {quantity:<16} {_fmt(expected):>12} "
+        f"{_fmt(value):>12} {_fmt(tolerance):>8}  {'PASS' if ok else 'FAIL'}"
+        for case, quantity, expected, value, _, tolerance, ok in rows
+    )
+    lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
+    record = {"rows": [dict(zip(header, row)) for row in rows], "passed": passed}
+    return Output(passed, record, header, rows, "\n".join(lines))
 
 
 _HANDLERS = {
@@ -588,6 +492,20 @@ _HANDLERS = {
 }
 
 
+def _render(fmt: str, output: Output) -> str:
+    """The command's result in the requested format, ending in a newline."""
+    if fmt == "json":
+        return json.dumps(output.record, indent=2) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(output.header)
+        for row in output.rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        return buffer.getvalue()
+    return output.text + "\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -596,16 +514,25 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
     try:
-        return _HANDLERS[args.command](_config_from_args(args))
-    except UsageError as exc:
-        print(f"sepdist: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        output = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"sepdist: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"sepdist: consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
+    text = _render(args.fmt, output)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"sepdist: error: cannot write --output {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    return EXIT_OK if output.passed else EXIT_CONSISTENCY
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from .states import (
 from .symplectic import CovarianceMatrix, is_physical
 
 __all__ = [
-    "STAGE_NAMES",
-    "ShotRecord",
     "EnsembleEstimate",
     "SimulationResult",
     "ComparisonReport",
@@ -38,25 +35,6 @@ __all__ = [
     "simulate_protocol",
     "compare_estimate",
 ]
-
-#: Quadrature snapshots kept per shot: three-mode chain plus the recovery pair.
-STAGE_NAMES = ("input", "displaced", "mixed_ac", "final", "recovered")
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """Quadrature vectors of a single shot after each protocol stage."""
-
-    index: int
-    stages: Mapping[str, np.ndarray]
-
-    def __post_init__(self):
-        if tuple(self.stages.keys()) != STAGE_NAMES:
-            raise ValueError(f"shot record must carry stages {STAGE_NAMES}")
-        for name, vec in self.stages.items():
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"non-finite quadratures in stage {name!r}")
-
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
@@ -78,7 +56,6 @@ class SimulationResult:
 
     final: EnsembleEstimate
     recovered: EnsembleEstimate
-    records: tuple[ShotRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -148,7 +125,6 @@ def simulate_protocol(
     count: int,
     seed: int,
     gain: np.ndarray | None = None,
-    n_records: int = 3,
 ) -> SimulationResult:
     """Shot-by-shot simulation of the distribution run and its recovery branch.
 
@@ -185,25 +161,7 @@ def simulate_protocol(
             mixed_ac[:, 4:6] + displacements[:, 2:4] @ gain.T,
         ]
     )
-
-    records = tuple(
-        ShotRecord(
-            index=i,
-            stages={
-                "input": quantum[i].copy(),
-                "displaced": displaced[i].copy(),
-                "mixed_ac": mixed_ac[i].copy(),
-                "final": final[i].copy(),
-                "recovered": recovered[i].copy(),
-            },
-        )
-        for i in range(min(n_records, count))
-    )
-    return SimulationResult(
-        final=estimate_cm(final),
-        recovered=estimate_cm(recovered),
-        records=records,
-    )
+    return SimulationResult(final=estimate_cm(final), recovered=estimate_cm(recovered))
 
 
 def compare_estimate(

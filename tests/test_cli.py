@@ -91,10 +91,22 @@ class TestDistribute:
         assert out == ""
         assert abs(json.loads(target.read_text())["entanglement"]["nu"] - 0.6589) < 5e-4
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code = main(["distribute", "--e2t", "2", "--format", "json", "--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith(f"sepdist: error: cannot write --output {path}: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "distribute")[0] == EXIT_USAGE
         assert run_cli(capsys, "distribute", "--e2t", "2", "--squeezing-db", "3")[0] == EXIT_USAGE
         assert run_cli(capsys, "distribute", "--e2t", "0")[0] == EXIT_USAGE
+        assert run_cli(capsys, "distribute", "--squeezing-db", "4000")[0] == EXIT_USAGE
         assert run_cli(capsys, "distribute", "--e2t", "2", "--x", "fast")[0] == EXIT_USAGE
         assert run_cli(capsys, "distribute", "--e2t", "2", "--x", "-1")[0] == EXIT_USAGE
         assert run_cli(capsys, "no-such-command")[0] == EXIT_USAGE
@@ -277,3 +289,76 @@ class TestLargeScale:
             final_ab = final_state_cm(e2t, x).matrix[0:4, 0:4]
             nu, nu_tol = _oracle_pt_min(final_ab, 1)
             assert abs(float(row["nu"]) - nu) <= nu_tol
+
+
+
+def _cell_matches(cell: str, value) -> bool:
+    if isinstance(value, bool):
+        return cell == str(value)
+    if isinstance(value, (int, float)):
+        return float(cell) == value
+    return cell == value
+
+
+def _assert_cells(rows, expected):
+    assert len(rows) == len(expected) >= 1
+    for row, want in zip(rows, expected):
+        assert list(row) == list(want)
+        for name, value in want.items():
+            assert _cell_matches(row[name], value), (name, row[name], value)
+
+
+def _check_distribute(record, rows):
+    params, ent = record["params"], record["entanglement"]
+    names = ("tau3", "omega3", "sigma", "nu", "log_negativity")
+    _assert_cells(rows, [{"e2t": params["e2t"], "x": params["x"], **{n: ent[n] for n in names}}])
+
+
+def _check_recover(record, rows):
+    params, rec = record["params"], record["recovery"]
+    (g11, g12), (g21, g22) = rec["gain"]
+    gains = {"g11": g11, "g12": g12, "g21": g21, "g22": g22}
+    names = ("nu_ac", "log_negativity", "purity_det")
+    _assert_cells(rows, [{"e2t": params["e2t"], "x": params["x"], **gains,
+                          **{n: rec[n] for n in names}}])
+
+
+def _check_table(record, rows):
+    _assert_cells(rows, record["rows"])
+
+
+def _check_mc_validate(record, rows):
+    # The record keeps each comparison's flagged entries and largest deviation;
+    # the CSV has one row per upper-triangle entry.
+    assert [row["target"] for row in rows] == ["final"] * 21 + ["recovered"] * 10
+    for comparison in record["comparisons"]:
+        mine = [row for row in rows if row["target"] == comparison["target"]]
+        flagged = {tuple(entry) for entry in comparison["flagged_entries"]}
+        for row in mine:
+            entry = (int(row["entry_row"]), int(row["entry_col"]))
+            assert _cell_matches(row["passed"], entry not in flagged)
+        assert max(float(row["deviation_sigma"]) for row in mine) == (
+            comparison["max_deviation_sigma"]
+        )
+        assert comparison["passed"] == all(row["passed"] == "True" for row in mine)
+    assert record["passed"] == all(c["passed"] for c in record["comparisons"])
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (("distribute", "--e2t", "3", "--x", "0.7", "--with-recovery"), _check_distribute),
+        (("recover", "--e2t", "2", "--gain", "0.5,0.1,-0.2,1.5"), _check_recover),
+        (("sweep", "--points", "6", "--excess", "3"), _check_table),
+        (("mc-validate", "--e2t", "2", "--samples", "2000", "--seed", "5", "--sigma", "1"),
+         _check_mc_validate),
+        (("regression",), _check_table),
+    ],
+    ids=["distribute", "recover", "sweep", "mc-validate", "regression"],
+)
+def test_csv_cells_equal_json_fields(capsys, argv, check):
+    """Every CSV cell holds exactly the number or flag of the JSON record's field."""
+    json_code, json_out = run_cli(capsys, *argv, "--format", "json")
+    csv_code, csv_out = run_cli(capsys, *argv, "--format", "csv")
+    assert json_code == csv_code
+    check(json.loads(json_out), list(csv.DictReader(io.StringIO(csv_out))))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sepdist.montecarlo import (
-    STAGE_NAMES,
     compare_estimate,
     estimate_cm,
     psd_cholesky,
@@ -167,25 +166,14 @@ class TestSimulateProtocol:
         se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
         assert mean >= 1.0 - 3.0 * se
 
-    def test_shot_records_are_complete_and_finite(self):
-        result = simulate_protocol(ProtocolParams(t=0.3), count=1500, seed=2, n_records=5)
-        assert len(result.records) == 5
-        for record in result.records:
-            assert tuple(record.stages.keys()) == STAGE_NAMES
-            for name, vec in record.stages.items():
-                assert np.all(np.isfinite(vec))
-                assert vec.shape == ((4,) if name == "recovered" else (6,))
-
     def test_shot_arithmetic_consistency(self):
-        # Receiver output quadratures are (recovered carrier + vacuum)/sqrt(2)
-        # shot by shot when the gain is unity.
+        # Neither the receiver-side mixing nor the recovery displacement acts
+        # on the sender, so both outputs carry the same sender quadratures shot
+        # by shot and their sender blocks agree to rounding.
         result = simulate_protocol(ProtocolParams(t=0.4), count=1200, seed=3)
-        for record in result.records:
-            mixed = record.stages["mixed_ac"]
-            final = record.stages["final"]
-            recovered = record.stages["recovered"]
-            np.testing.assert_allclose(final[0:2], mixed[0:2], atol=1e-12)
-            np.testing.assert_allclose(recovered[0:2], mixed[0:2], atol=1e-12)
+        np.testing.assert_allclose(
+            result.final.cm[0:2, 0:2], result.recovered.cm[0:2, 0:2], rtol=1e-12
+        )
 
     def test_deterministic_given_seed(self):
         params = ProtocolParams(t=0.2)
