@@ -107,6 +107,7 @@ ERRORS = (
     ("sweep", "--e2t-start", "1e4", "--e2t-stop", "1e4", "--points", "1", "--x", "0"),
     ("sweep", "--points", "3", "--output", "."),
     ("mc-validate", "--e2t", "2", "--samples", "100"),
+    ("mc-validate", "--e2t", "2", "--seed", "-1"),
     ("mc-validate", "--e2t", "2", "--sigma", "0"),
     ("mc-validate", "--e2t", "2", "--sigma", "nan"),
     ("mc-validate", "--e2t", "0", "--samples", "10"),

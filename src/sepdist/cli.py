@@ -389,6 +389,8 @@ def _cmd_mc_validate(args) -> Output:
     params = _params(args)
     if args.samples < 1000:
         raise ValueError("--samples must be >= 1000")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     if not math.isfinite(args.sigma) or args.sigma <= 0.0:
         raise ValueError("--sigma must be > 0")
     analytic = run_distribution_protocol(params, include_recovery=True)

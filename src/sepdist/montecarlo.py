@@ -6,6 +6,13 @@ vacuum variance = 1/2 per quadrature), sampling always uses cm / 2 and
 estimates multiply the sample covariance back by 2.  Classical displacements
 are drawn the same way from the correlated-noise model.  Fixed seeds make
 every sample stream bit-reproducible.
+
+`simulate_protocol` draws only rank-many normals per shot (6 for the product
+state, rank 2 for the correlated displacements, none without noise) and
+streams them in chunks of CHUNK shots, merging each chunk's centred moments
+into a running total.  Every output quadrature is a fixed linear map of the
+shot's normals, so the outputs' sample covariance follows from the normals'
+one; memory is O(CHUNK) whatever the shot count.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ __all__ = [
     "simulate_protocol",
     "compare_estimate",
 ]
+
+# Shots per draw in `simulate_protocol`: 4 MB of normals at 8 per shot.
+CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
@@ -90,11 +101,6 @@ def psd_cholesky(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return low
 
 
-def _sample(rng: np.random.Generator, covariance: np.ndarray, count: int) -> np.ndarray:
-    factor = psd_cholesky(covariance)
-    return rng.standard_normal((count, covariance.shape[0])) @ factor.T
-
-
 def sample_gaussian_state(cm: CovarianceMatrix, count: int, seed: int) -> np.ndarray:
     """Draw `count` quadrature vectors from the state's Wigner function.
 
@@ -105,7 +111,19 @@ def sample_gaussian_state(cm: CovarianceMatrix, count: int, seed: int) -> np.nda
         raise ValueError("count must be >= 1")
     if not is_physical(cm):
         raise ValueError("cannot sample an unphysical covariance matrix")
-    return _sample(np.random.default_rng(seed), cm.matrix / 2.0, count)
+    factor = psd_cholesky(cm.matrix / 2.0)
+    return np.random.default_rng(seed).standard_normal((count, factor.shape[0])) @ factor.T
+
+
+def _estimate(covariance: np.ndarray, n: int) -> EnsembleEstimate:
+    """Estimate from an ordinary sample covariance of `n` shots.
+
+    The CM is twice the symmetrised covariance, so it is exactly symmetric.
+    """
+    cm = covariance + covariance.T
+    diag = np.diag(cm)
+    std_error = np.sqrt((np.outer(diag, diag) + cm * cm) / n)
+    return EnsembleEstimate(n_samples=n, cm=cm, std_error=std_error)
 
 
 def estimate_cm(samples: np.ndarray) -> EnsembleEstimate:
@@ -113,11 +131,33 @@ def estimate_cm(samples: np.ndarray) -> EnsembleEstimate:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("need at least two sample vectors")
-    n = samples.shape[0]
-    cm = 2.0 * np.cov(samples, rowvar=False, ddof=1)
-    diag = np.diag(cm)
-    std_error = np.sqrt((np.outer(diag, diag) + cm * cm) / n)
-    return EnsembleEstimate(n_samples=n, cm=cm, std_error=std_error)
+    return _estimate(np.cov(samples, rowvar=False, ddof=1), samples.shape[0])
+
+
+def _normal_covariance(rng: np.random.Generator, width: int, count: int) -> np.ndarray:
+    """Sample covariance (ddof 1) of `count` standard-normal vectors of length `width`.
+
+    Draws CHUNK vectors at a time and merges each chunk's mean and centred
+    scatter into the running ones with the pairwise update of Chan, Golub
+    and LeVeque, so memory does not grow with `count`.
+    """
+    n = 0
+    mean = np.zeros(width)
+    scatter = np.zeros((width, width))
+    for start in range(0, count, CHUNK):
+        z = rng.standard_normal((min(CHUNK, count - start), width))
+        m = z.shape[0]
+        chunk_mean = z.mean(axis=0)
+        z -= chunk_mean
+        delta = chunk_mean - mean
+        scatter += z.T @ z + np.outer(delta, delta) * (n * m / (n + m))
+        mean += delta * (m / (n + m))
+        n += m
+    return scatter / (count - 1)
+
+
+def _nonzero_columns(factor: np.ndarray) -> np.ndarray:
+    return factor[:, np.any(factor != 0.0, axis=0)]
 
 
 def simulate_protocol(
@@ -133,6 +173,13 @@ def simulate_protocol(
     receiver for the distribution output and (b) apply the gain-scaled
     receiver displacement to the carrier for the recovery output.  Both
     outputs are estimated from the same shots.
+
+    Each shot draws one normal per nonzero column of the input factors: 6
+    for the product state and rank(noise) for the displacements (2 for x > 0,
+    0 for x = 0).  Its 10 output quadratures (6 final, 4 recovered) are a
+    fixed linear map A of those normals, so the outputs' sample covariance
+    is A S Aᵀ with S the normals' sample covariance, accumulated in chunks
+    of CHUNK shots; memory is O(CHUNK), not O(count).
     """
     if count < 1000:
         raise ValueError("count must be >= 1000 for meaningful estimates")
@@ -150,18 +197,22 @@ def simulate_protocol(
     )
     noise = displacement_noise_model(params.resolved_x).matrix()
 
-    quantum = _sample(rng, product.matrix / 2.0, count)
-    displacements = _sample(rng, noise / 2.0, count)
-    displaced = quantum + displacements
-    mixed_ac = displaced @ balanced_beam_splitter(3, MODE_SENDER, MODE_CARRIER).matrix.T
-    final = mixed_ac @ balanced_beam_splitter(3, MODE_RECEIVER, MODE_CARRIER).matrix.T
-    recovered = np.hstack(
-        [
-            mixed_ac[:, 0:2],
-            mixed_ac[:, 4:6] + displacements[:, 2:4] @ gain.T,
-        ]
+    # Each stage array maps one shot's normals (quantum columns first, then
+    # noise) to that stage's quadratures.
+    quantum = _nonzero_columns(psd_cholesky(product.matrix / 2.0))
+    classical = _nonzero_columns(psd_cholesky(noise / 2.0))
+    displacements = np.hstack([np.zeros((6, quantum.shape[1])), classical])
+    displaced = np.hstack([quantum, classical])
+    mixed_ac = balanced_beam_splitter(3, MODE_SENDER, MODE_CARRIER).matrix @ displaced
+    final = balanced_beam_splitter(3, MODE_RECEIVER, MODE_CARRIER).matrix @ mixed_ac
+    recovered = np.vstack([mixed_ac[0:2], mixed_ac[4:6] + gain @ displacements[2:4]])
+    outputs = np.vstack([final, recovered])
+
+    covariance = outputs @ _normal_covariance(rng, outputs.shape[1], count) @ outputs.T
+    return SimulationResult(
+        final=_estimate(covariance[:6, :6], count),
+        recovered=_estimate(covariance[6:, 6:], count),
     )
-    return SimulationResult(final=estimate_cm(final), recovered=estimate_cm(recovered))
 
 
 def compare_estimate(

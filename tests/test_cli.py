@@ -200,9 +200,15 @@ class TestMcValidate:
         assert "PASS" in out
 
     def test_too_few_samples_is_usage_error(self, capsys):
-        assert (
-            run_cli(capsys, "mc-validate", "--e2t", "2", "--samples", "100")[0] == EXIT_USAGE
-        )
+        for flags, reason in (
+            (("--samples", "100"), "--samples must be >= 1000"),
+            (("--seed", "-1"), "--seed must be >= 0"),
+        ):
+            code = main(["mc-validate", "--e2t", "2", *flags])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert captured.out == ""
+            assert captured.err == f"sepdist: error: {reason}\n"
 
     def test_unattainable_budget_fails_with_exit_2(self, capsys):
         code, out = run_cli(

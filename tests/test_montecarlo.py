@@ -6,19 +6,73 @@ import numpy as np
 import pytest
 
 from sepdist.montecarlo import (
+    CHUNK,
     compare_estimate,
     estimate_cm,
     psd_cholesky,
     sample_gaussian_state,
     simulate_protocol,
 )
-from sepdist.protocol import ProtocolParams, run_distribution_protocol, run_recovery_protocol
-from sepdist.states import displacement_noise_model, squeezed_vacuum_cm, vacuum_cm
+from sepdist.protocol import (
+    MODE_CARRIER,
+    MODE_RECEIVER,
+    MODE_SENDER,
+    ProtocolParams,
+    run_distribution_protocol,
+    run_recovery_protocol,
+)
+from sepdist.states import (
+    balanced_beam_splitter,
+    direct_sum,
+    displacement_noise_model,
+    squeezed_vacuum_cm,
+    vacuum_cm,
+)
 from sepdist.symplectic import CovarianceMatrix, ppt_lower_eigenvalue
 
 from conftest import random_cm
 
 T_3DB = 0.5 * math.log(2.0)
+
+
+def per_shot_outputs(params, count, seed, gain):
+    """Final and recovered quadratures of every shot, built stage by stage.
+
+    Draws the same normals as `simulate_protocol` in one call (quantum
+    columns first, then one per nonzero noise factor column) and keeps every
+    stage for all shots, as a reference for the streamed moments.
+    """
+    product = direct_sum(
+        squeezed_vacuum_cm(params.t, "momentum", params.excess),
+        vacuum_cm(1),
+        squeezed_vacuum_cm(params.t, "position", params.excess),
+    )
+    quantum_factor = psd_cholesky(product.matrix / 2.0)
+    noise_factor = psd_cholesky(displacement_noise_model(params.resolved_x).matrix() / 2.0)
+    noise_factor = noise_factor[:, np.any(noise_factor != 0.0, axis=0)]
+    normals = np.random.default_rng(seed).standard_normal((count, 6 + noise_factor.shape[1]))
+    quantum = normals[:, :6] @ quantum_factor.T
+    displacements = normals[:, 6:] @ noise_factor.T
+    displaced = quantum + displacements
+    mixed_ac = displaced @ balanced_beam_splitter(3, MODE_SENDER, MODE_CARRIER).matrix.T
+    final = mixed_ac @ balanced_beam_splitter(3, MODE_RECEIVER, MODE_CARRIER).matrix.T
+    recovered = np.hstack(
+        [mixed_ac[:, 0:2], mixed_ac[:, 4:6] + displacements[:, 2:4] @ gain.T]
+    )
+    return final, recovered
+
+
+class _CountingGenerator:
+    """A numpy Generator that records the size of every standard-normal draw."""
+
+    def __init__(self, generator, drawn):
+        self._generator = generator
+        self._drawn = drawn
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._generator.standard_normal(*args, **kwargs)
+        self._drawn.append(out.size)
+        return out
 
 
 class TestPsdCholesky:
@@ -185,6 +239,51 @@ class TestSimulateProtocol:
     def test_small_count_rejected(self):
         with pytest.raises(ValueError):
             simulate_protocol(ProtocolParams(t=0.2), count=999, seed=1)
+
+    @pytest.mark.parametrize("x", ["auto", 0.0])
+    def test_streamed_moments_equal_per_shot_covariance(self, x):
+        # Two full chunks and a partial one, so the merge sees unequal chunk sizes.
+        count = 2 * CHUNK + 1234
+        params = ProtocolParams(t=T_3DB, x=x)
+        gain = np.array([[0.7, 0.2], [-0.3, 1.4]])
+        result = simulate_protocol(params, count=count, seed=11, gain=gain)
+        final, recovered = per_shot_outputs(params, count, 11, gain)
+        np.testing.assert_allclose(result.final.cm, 2.0 * np.cov(final, rowvar=False), rtol=1e-10)
+        np.testing.assert_allclose(
+            result.recovered.cm, 2.0 * np.cov(recovered, rowvar=False), rtol=1e-10
+        )
+        for estimate in (result.final, result.recovered):
+            assert estimate.n_samples == count
+            np.testing.assert_array_equal(estimate.cm, estimate.cm.T)
+
+    @pytest.mark.parametrize(("x", "per_shot"), [("auto", 8), (0.0, 6)])
+    def test_draws_rank_many_normals_per_shot(self, monkeypatch, x, per_shot):
+        # 6 for the full-rank product state plus rank(noise): 2 for x > 0, 0 for x = 0.
+        drawn = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *a, **k: _CountingGenerator(default_rng(*a, **k), drawn)
+        )
+        simulate_protocol(ProtocolParams(t=T_3DB, x=x), count=3000, seed=1)
+        assert sum(drawn) == per_shot * 3000
+
+    def test_pass_rate_over_many_seeds(self):
+        # Per fresh seed the 3-sigma budget over 21 + 10 entries passes about
+        # 92% of the time; fewer than 30 of 40 has probability ~2e-4.  A
+        # reference entry 6 standard errors off must be caught on every seed.
+        params = ProtocolParams(t=T_3DB)
+        analytic = run_distribution_protocol(params, include_recovery=True)
+        passed = 0
+        for seed in range(40):
+            result = simulate_protocol(params, count=20_000, seed=seed)
+            passed += (
+                compare_estimate(result.final, analytic.steps[2].cm, 3.0).passed
+                and compare_estimate(result.recovered, analytic.recovery.cm, 3.0).passed
+            )
+            shifted = analytic.steps[2].cm.matrix.copy()
+            shifted[0, 0] += 6.0 * result.final.std_error[0, 0]
+            assert not compare_estimate(result.final, shifted, 3.0).passed
+        assert passed >= 30
 
     def test_bad_gain_rejected(self):
         with pytest.raises(ValueError):
