@@ -67,7 +67,8 @@ HELP = (
     ("regression", "--help"),
 )
 
-# Usage errors (exit 64), consistency failures (exit 2) and unopenable --output paths.
+# Usage errors and out-of-range inputs (exit 64), consistency failures (exit 2) and
+# unopenable --output paths.
 ERRORS = (
     (),
     ("no-such-command",),
@@ -89,6 +90,7 @@ ERRORS = (
     ("distribute", "--e2t", "2", "--bogus"),
     ("distribute", "--e2t", "0", "--x", "fast", "--excess", "-1"),
     ("distribute", "--e2t", "2", "--x", "fast", "--excess", "-1"),
+    ("distribute", "--e2t", "2", "--x", "1e308"),
     ("distribute", "--e2t", "1e4", "--x", "0"),
     ("distribute", "--e2t", "1e4", "--x", "0", "--output", "out"),
     ("distribute", "--e2t", "0", "--output", "out"),
@@ -106,6 +108,7 @@ ERRORS = (
     ("sweep", "--excess", "-2", "--points", "0"),
     ("sweep", "--e2t-start", "1e4", "--e2t-stop", "1e4", "--points", "1", "--x", "0"),
     ("sweep", "--points", "3", "--output", "."),
+    ("sweep", "--e2t-stop", "1e300", "--points", "3"),
     ("mc-validate", "--e2t", "2", "--samples", "100"),
     ("mc-validate", "--e2t", "2", "--seed", "-1"),
     ("mc-validate", "--e2t", "2", "--sigma", "0"),

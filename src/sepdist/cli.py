@@ -1,7 +1,8 @@
 """Command-line front end: protocol runs, sweeps, Monte Carlo validation, regression table.
 
 Exit codes: 0 on success, 2 when an internal consistency or validation check
-fails, 64 for usage errors.  Output formats: human-readable text (6
+fails, 64 for usage errors and for inputs whose computation overflows double
+precision.  Output formats: human-readable text (6
 significant digits), JSON and CSV (full double precision); see docs/formats.md
 for the field-level contract.
 
@@ -516,9 +517,15 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
     try:
-        output = _HANDLERS[args.command](args)
+        # Overflow, an invalid operation or a division by zero means the
+        # inputs reach beyond double precision; underflow to zero is benign.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            output = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"sepdist: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"sepdist: error: inputs out of the double-precision range ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"sepdist: consistency failure: {exc}", file=sys.stderr)

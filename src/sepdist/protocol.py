@@ -16,36 +16,42 @@ The distribution protocol runs in three steps on modes A (sender), B
 The recovery variant replaces step 3 by a classical feed-forward displacement
 of C with an electronic gain matrix; unit gain restores the full two-mode
 squeezing entanglement between A and C.
+
+A single run and a sweep share one batched core: the three step CMs of N
+runs are built as (N, 6, 6) stacks, cross-checked against their closed forms
+and checked physical together, and their spectra come from two stacked
+kernel calls, 13 spectra per run (3 steps, their 9 single-mode partial
+transposes, and the final A-B transpose).  A single run is the case N = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .states import (
-    add_classical_noise,
     apply_symplectic,
     balanced_beam_splitter,
     direct_sum,
     displacement_noise_model,
     reduce_modes,
     squeezed_vacuum_cm,
-    vacuum_cm,
 )
 from .symplectic import (
     SEPARABILITY_TOL,
-    SIGMA_Z,
     CovarianceMatrix,
     SeparabilityVerdict,
     _eigenvalue_resolution,
-    is_physical,
+    _ppt_classified,
+    _sigma_classified,
+    _symmetrised,
     log_negativity,
-    partial_transpose,
     ppt_verdict,
-    sigma_verdict,
     symplectic_eigenvalues,
 )
 
@@ -236,44 +242,47 @@ def _check_t_x(t: float, x: float) -> None:
         raise ValueError("noise strength x must be >= 0")
 
 
-def _mixed_state_blocks(t: float, x: float, excess: float) -> tuple[float, float]:
+def _mixed_state_blocks(t, x, excess):
     # Diagonal and coupling scalars of the post-splitter state; excess spreads
-    # evenly over both quadratures after balanced mixing.
-    a = math.cosh(2.0 * t) + excess / 2.0 + x
-    b = math.sinh(2.0 * t) + excess / 2.0 - x
+    # evenly over both quadratures after balanced mixing.  Elementwise.
+    a = np.cosh(2.0 * t) + excess / 2.0 + x
+    b = np.sinh(2.0 * t) + excess / 2.0 - x
     return a, b
 
 
-def _mixed_state_explicit(t: float, x: float, excess: float) -> np.ndarray:
+def _block_form(coefficients: list[list]) -> np.ndarray:
+    # The three-mode CM whose 2x2 block (j, k) is coefficients[j][k] times the
+    # identity, or times SIGMA_Z where it couples mode A to another mode: the
+    # partial transpose at A of the all-identity block form.  Elementwise over
+    # the coefficients' common shape (...); returns shape (..., 6, 6).
+    c = np.stack(np.broadcast_arrays(*(v for row in coefficients for v in row)), axis=-1)
+    c = c.reshape(c.shape[:-1] + (3, 3))
+    identity_blocks = c[..., :, None, :, None] * np.eye(2)[:, None, :]
+    sender_flip = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+    return identity_blocks.reshape(c.shape[:-2] + (6, 6)) * np.outer(sender_flip, sender_flip)
+
+
+def _mixed_state_explicit(t, x, excess) -> np.ndarray:
     a, b = _mixed_state_blocks(t, x, excess)
-    eye2 = np.eye(2)
-    return np.block(
+    return _block_form(
         [
-            [a * eye2, 2.0 * x * SIGMA_Z, b * SIGMA_Z],
-            [2.0 * x * SIGMA_Z, (1.0 + 4.0 * x) * eye2, -2.0 * x * eye2],
-            [b * SIGMA_Z, -2.0 * x * eye2, a * eye2],
+            [a, 2.0 * x, b],
+            [2.0 * x, 1.0 + 4.0 * x, -2.0 * x],
+            [b, -2.0 * x, a],
         ]
     )
 
 
-def _final_state_explicit(t: float, x: float, excess: float) -> np.ndarray:
+def _final_state_explicit(t, x, excess) -> np.ndarray:
     a, b = _mixed_state_blocks(t, x, excess)
     s2 = math.sqrt(2.0)
-    eye2 = np.eye(2)
-    return np.block(
+    return _block_form(
         [
-            [a * eye2, (2.0 * x + b) / s2 * SIGMA_Z, (2.0 * x - b) / s2 * SIGMA_Z],
-            [(2.0 * x + b) / s2 * SIGMA_Z, (1.0 + a) / 2.0 * eye2, (1.0 + 4.0 * x - a) / 2.0 * eye2],
-            [(2.0 * x - b) / s2 * SIGMA_Z, (1.0 + 4.0 * x - a) / 2.0 * eye2, (1.0 + 8.0 * x + a) / 2.0 * eye2],
+            [a, (2.0 * x + b) / s2, (2.0 * x - b) / s2],
+            [(2.0 * x + b) / s2, (1.0 + a) / 2.0, (1.0 + 4.0 * x - a) / 2.0],
+            [(2.0 * x - b) / s2, (1.0 + 4.0 * x - a) / 2.0, (1.0 + 8.0 * x + a) / 2.0],
         ]
     )
-
-
-def _input_product(params: ProtocolParams) -> CovarianceMatrix:
-    mode_a = squeezed_vacuum_cm(params.t, "momentum", params.excess)
-    mode_b = vacuum_cm(1)
-    mode_c = squeezed_vacuum_cm(params.t, "position", params.excess)
-    return direct_sum(mode_a, mode_b, mode_c)
 
 
 def _gated_log_negativity(nu: float, verdict: SeparabilityVerdict) -> tuple[float, str | None]:
@@ -284,16 +293,137 @@ def _gated_log_negativity(nu: float, verdict: SeparabilityVerdict) -> tuple[floa
     return 0.0, _NO_ENTANGLEMENT_NOTE
 
 
-def _cross_check(label: str, got: float, want: float, atol: float) -> None:
-    if abs(got - want) > atol:
-        raise ConsistencyError(f"{label}: {got!r} vs {want!r} (atol {atol:.1e})")
+@functools.cache
+def _pipeline() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constant matrices of the distribution pipeline, built on first use.
+
+    The local-frame noise base, the sender and receiver beam splitters, the
+    sign patterns of the partial transposes at modes A, B and C, and that of
+    the final two-mode (A, B) state transposed at B.
+    """
+    base = displacement_noise_model(0.0).base
+    splitter_ac = balanced_beam_splitter(3, MODE_SENDER, MODE_CARRIER).matrix
+    splitter_bc = balanced_beam_splitter(3, MODE_RECEIVER, MODE_CARRIER).matrix
+    signs = np.ones((3, 6))
+    signs[[0, 1, 2], [1, 3, 5]] = -1.0
+    flips = signs[:, :, None] * signs[:, None, :]
+    flips.flags.writeable = False
+    return base, splitter_ac, splitter_bc, flips, flips[MODE_RECEIVER, :4, :4]
 
 
-def _matrix_cross_check(label: str, got: np.ndarray, want: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(want).max()))
-    defect = float(np.abs(got - want).max())
-    if defect > 1e-10 * scale:
-        raise ConsistencyError(f"{label} differs from closed form by {defect:.2e}")
+class _Batch(NamedTuple):
+    """States and spectra of N distribution runs that passed every check."""
+
+    steps: np.ndarray  # (N, 3, 6, 6): the CM after each step
+    spectra: np.ndarray  # (N, 3, 3, 3): step, transposed mode, PT spectrum
+    final_ab: np.ndarray  # (N, 2): spectrum of the (A, B) state transposed at B
+
+    def outputs(self, i: int, tol: float) -> tuple[SeparabilityVerdict, SeparabilityVerdict]:
+        """Run i's carrier sigma verdict after step 3 and its final A-B PPT verdict."""
+        return (
+            _sigma_classified(self.spectra[i, 2, MODE_CARRIER], MODE_CARRIER, tol),
+            _ppt_classified(self.final_ab[i], MODE_RECEIVER, tol),
+        )
+
+
+#: A vectorized check: failure mask over the runs, and the message of run i.
+_Check = tuple[np.ndarray, Callable[[int], str]]
+
+
+def _matrix_check(label: str, got: np.ndarray, want: np.ndarray) -> _Check:
+    scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
+    defect = np.abs(got - want).max(axis=(-2, -1))
+    return defect > 1e-10 * scale, lambda i: f"{label} differs from closed form by {defect[i]:.2e}"
+
+
+def _value_check(
+    label: str, got: np.ndarray, want: np.ndarray, atol: np.ndarray, active: np.ndarray
+) -> _Check:
+    return active & (np.abs(got - want) > atol), lambda i: (
+        f"{label}: {float(got[i])!r} vs {float(want[i])!r} (atol {atol[i]:.1e})"
+    )
+
+
+def _distribution_batch(runs: Sequence[ProtocolParams], tol: float) -> _Batch:
+    """Steps 1-3 of every run as stacks, checked, with their spectra.
+
+    Each stack is built with the same floating-point operations as the
+    single-CM constructors (squeezed diagonals, plus x times the noise base,
+    S cm S^T, symmetrised) and validated like a CovarianceMatrix.  One kernel
+    call takes the spectra of the 3 step CMs and their 9 single-mode partial
+    transposes; a second takes the final A-B transpose.  The step-2 carrier
+    and sender spectra serve both the closed-form cross-checks and the
+    verdicts.  A failing check raises ConsistencyError for the first failing
+    run, on its first failing check in the order: mixed state, final state,
+    step 1/2/3 physical, carrier threshold root, carrier PT eigenvalue,
+    sender PT eigenvalue.
+    """
+    base, splitter_ac, splitter_bc, flips, ab_flip = _pipeline()
+    n = len(runs)
+    t = np.array([run.t for run in runs])
+    x = np.array([run.resolved_x for run in runs])
+    excess = np.array([run.excess for run in runs])
+
+    wide = np.exp(2.0 * t) + excess
+    narrow = np.exp(-2.0 * t)
+    product = np.zeros((n, 6, 6))
+    diagonal = np.arange(6)
+    ones = np.ones(n)
+    product[:, diagonal, diagonal] = np.stack([wide, narrow, ones, ones, narrow, wide], axis=-1)
+    step1 = _symmetrised(product + x[:, None, None] * base)
+    step2 = _symmetrised(splitter_ac @ step1 @ splitter_ac.T)
+    step3 = _symmetrised(splitter_bc @ step2 @ splitter_bc.T)
+    steps = np.stack([step1, step2, step3], axis=1)
+
+    transposed = (steps[:, :, None] * flips).reshape(n, 9, 6, 6)
+    spectra = symplectic_eigenvalues(np.concatenate([steps, transposed], axis=1))
+    own, pt = spectra[:, :3], spectra[:, 3:].reshape(n, 3, 3, 3)
+    physical = own[..., 0] >= 1.0 - np.maximum(tol, _eigenvalue_resolution(own[..., -1]))
+
+    carrier, sender = pt[:, 1, MODE_CARRIER], pt[:, 1, MODE_SENDER]
+    carrier_closed = np.array([carrier_ppt_eigenvalue(run.t, run.resolved_x) for run in runs])
+    sender_closed = np.array([sender_ppt_eigenvalue(run.t, run.resolved_x) for run in runs])
+    e2t = np.array([run.e2t for run in runs])
+    carrier_atol = _eigenvalue_resolution(carrier[:, -1])
+    exact = excess == 0.0
+    checks: list[_Check] = [
+        _matrix_check("mixed state", step2, _mixed_state_explicit(t, x, excess)),
+        _matrix_check("final state", step3, _final_state_explicit(t, x, excess)),
+        *(
+            (~physical[:, k], lambda i, label=label: f"{label} CM is not physical")
+            for k, label in enumerate(("step 1", "step 2", "step 3"))
+        ),
+        _value_check(
+            "carrier threshold root",
+            np.abs(carrier - carrier_closed[:, None]).min(axis=1),
+            np.zeros(n),
+            carrier_atol,
+            exact,
+        ),
+        # The transposed carrier spectrum carries a spectator root at e^{2t};
+        # the minimum is whichever of it and the threshold root is smaller.
+        _value_check(
+            "carrier PT eigenvalue",
+            carrier[:, 0],
+            np.minimum(carrier_closed, e2t),
+            carrier_atol,
+            exact,
+        ),
+        _value_check(
+            "sender PT eigenvalue",
+            sender[:, 0],
+            sender_closed,
+            _eigenvalue_resolution(sender[:, -1]),
+            exact,
+        ),
+    ]
+    failed = np.array([mask for mask, _ in checks])
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        raise ConsistencyError(checks[int(np.argmax(failed[:, i]))][1](i))
+
+    final_ab = symplectic_eigenvalues(steps[:, 2, :4, :4] * ab_flip)
+    return _Batch(steps, pt, final_ab)
 
 
 def run_distribution_protocol(
@@ -307,63 +437,19 @@ def run_distribution_protocol(
     Every stored CM is verified physical and the beam-splitter outputs are
     cross-checked entrywise against their closed block forms; any mismatch
     raises ConsistencyError since it can only come from an implementation
-    defect.
+    defect.  This is the batched core of `sweep` with one run.
     """
-    x = params.resolved_x
-    noise = displacement_noise_model(x)
-    step1 = add_classical_noise(_input_product(params), noise)
-    splitter_ac = balanced_beam_splitter(3, MODE_SENDER, MODE_CARRIER)
-    step2 = apply_symplectic(step1, splitter_ac)
-    splitter_bc = balanced_beam_splitter(3, MODE_RECEIVER, MODE_CARRIER)
-    step3 = apply_symplectic(step2, splitter_bc)
-
-    _matrix_cross_check("mixed state", step2.matrix, _mixed_state_explicit(params.t, x, params.excess))
-    _matrix_cross_check("final state", step3.matrix, _final_state_explicit(params.t, x, params.excess))
-    for label, cm in (("step 1", step1), ("step 2", step2), ("step 3", step3)):
-        if not is_physical(cm, tol):
-            raise ConsistencyError(f"{label} CM is not physical")
-
-    carrier_spectrum = symplectic_eigenvalues(partial_transpose(step2, MODE_CARRIER))
-    sender_spectrum = symplectic_eigenvalues(partial_transpose(step2, MODE_SENDER))
-    carrier_ppt_min = float(carrier_spectrum[0])
-    sender_ppt_min = float(sender_spectrum[0])
-    if params.excess == 0.0:
-        carrier_atol = _eigenvalue_resolution(float(carrier_spectrum[-1]))
-        carrier_closed = carrier_ppt_eigenvalue(params.t, x)
-        _cross_check(
-            "carrier threshold root",
-            float(np.abs(carrier_spectrum - carrier_closed).min()),
-            0.0,
-            carrier_atol,
-        )
-        # The transposed carrier spectrum carries a spectator root at e^{2t};
-        # the minimum is whichever of it and the threshold root is smaller.
-        _cross_check(
-            "carrier PT eigenvalue",
-            carrier_ppt_min,
-            min(carrier_closed, params.e2t),
-            carrier_atol,
-        )
-        _cross_check(
-            "sender PT eigenvalue",
-            sender_ppt_min,
-            sender_ppt_eigenvalue(params.t, x),
-            _eigenvalue_resolution(float(sender_spectrum[-1])),
-        )
-
+    batch = _distribution_batch((params,), tol)
     steps = tuple(
         StepReport(
-            index=i + 1,
-            label=_STEP_LABELS[i],
-            cm=cm,
-            verdicts=tuple(ppt_verdict(cm, mode, tol) for mode in range(3)),
+            index=k + 1,
+            label=_STEP_LABELS[k],
+            cm=CovarianceMatrix(batch.steps[0, k]),
+            verdicts=tuple(_ppt_classified(batch.spectra[0, k, m], m, tol) for m in range(3)),
         )
-        for i, cm in enumerate((step1, step2, step3))
+        for k in range(3)
     )
-
-    carrier_sigma_verdict = sigma_verdict(step3, MODE_CARRIER, tol)
-    final_ab = reduce_modes(step3, (MODE_SENDER, MODE_RECEIVER))
-    final_ab_verdict = ppt_verdict(final_ab, 1, tol)
+    carrier_sigma_verdict, final_ab_verdict = batch.outputs(0, tol)
     nu = final_ab_verdict.witness
     en, note = _gated_log_negativity(nu, final_ab_verdict)
 
@@ -375,11 +461,11 @@ def run_distribution_protocol(
         construction_separable=True,
         carrier_threshold=separability_threshold(params.t),
         carrier_separable=not carrier_step2.entangled,
-        carrier_ppt_min=carrier_ppt_min,
-        sender_ppt_min=sender_ppt_min,
+        carrier_ppt_min=float(batch.spectra[0, 1, MODE_CARRIER, 0]),
+        sender_ppt_min=float(batch.spectra[0, 1, MODE_SENDER, 0]),
         carrier_sigma=carrier_sigma_verdict.witness,
         carrier_sigma_verdict=carrier_sigma_verdict,
-        final_ab=final_ab,
+        final_ab=CovarianceMatrix(batch.steps[0, 2, :4, :4]),
         final_ab_verdict=final_ab_verdict,
         nu=nu,
         log_negativity=en,
@@ -468,26 +554,30 @@ def receiver_output_equivalence(params: ProtocolParams, tol: float = 1e-10) -> b
 def sweep(
     t_grid: np.ndarray, x_policy: float | str = "auto", excess: float = 0.0
 ) -> SweepResult:
-    """One protocol run per grid point, with monotonicity diagnostics.
+    """All grid points as one batch of protocol runs, with monotonicity diagnostics.
 
-    Rows are ordered by the grid; `nu_strictly_decreasing` reports whether the
-    final PT eigenvalue strictly decreases along it.
+    Rows are ordered by the grid and equal, field for field, the reports of
+    single runs at the same points; `nu_strictly_decreasing` reports whether
+    the final PT eigenvalue strictly decreases along the grid.
     """
     t_values = [float(t) for t in np.atleast_1d(np.asarray(t_grid, dtype=float))]
     if not t_values:
         raise ValueError("sweep grid must be nonempty")
+    runs = tuple(ProtocolParams(t=t, x=x_policy, excess=excess) for t in t_values)
+    batch = _distribution_batch(runs, SEPARABILITY_TOL)
     rows = []
-    for t in t_values:
-        report = run_distribution_protocol(ProtocolParams(t=t, x=x_policy, excess=excess))
+    for i, run in enumerate(runs):
+        carrier_sigma_verdict, final_ab_verdict = batch.outputs(i, SEPARABILITY_TOL)
+        en, _ = _gated_log_negativity(final_ab_verdict.witness, final_ab_verdict)
         rows.append(
             SweepRow(
-                e2t=report.params.e2t,
-                x=report.params.resolved_x,
-                tau3=report.carrier_ppt_min,
-                omega3=report.sender_ppt_min,
-                sigma=report.carrier_sigma,
-                nu=report.nu,
-                log_negativity=report.log_negativity,
+                e2t=run.e2t,
+                x=run.resolved_x,
+                tau3=float(batch.spectra[i, 1, MODE_CARRIER, 0]),
+                omega3=float(batch.spectra[i, 1, MODE_SENDER, 0]),
+                sigma=carrier_sigma_verdict.witness,
+                nu=final_ab_verdict.witness,
+                log_negativity=en,
             )
         )
     nus = [row.nu for row in rows]

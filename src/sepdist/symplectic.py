@@ -9,9 +9,12 @@ momentum; positivity of the transposed CM settles separability for every
 
 Every symplectic spectrum, of a CM or of its partial transpose, for any
 number of modes, comes from one route: the eigenvalues of the Hermitian
-matrix sqrt(cm) (i form) sqrt(cm), which are +-s_j.  Every tolerance on a
-symplectic eigenvalue comes from one resolution model, about machine epsilon
-times the largest eigenvalue of the spectrum at hand.
+matrix sqrt(cm) (i form) sqrt(cm), which are +-s_j.  The route takes one CM
+or a stack of matrices of shape (..., 2n, 2n), which it works through in
+chunks of `SPECTRUM_CHUNK`; a stack gives bit for bit the spectra of its
+matrices taken one at a time.  Every tolerance on a symplectic eigenvalue
+comes from one resolution model, about machine epsilon times the largest
+eigenvalue of the spectrum at hand.
 
 Everything in this module is a pure function on immutable values.
 """
@@ -29,6 +32,7 @@ __all__ = [
     "SIGMA_Z",
     "SYMMETRY_TOL",
     "SEPARABILITY_TOL",
+    "SPECTRUM_CHUNK",
     "SpectrumError",
     "CovarianceMatrix",
     "SeparabilityVerdict",
@@ -48,6 +52,10 @@ SYMMETRY_TOL = 1e-12
 
 #: Default half-width of the "boundary" band around separability thresholds.
 SEPARABILITY_TOL = 1e-9
+
+#: Matrices per solver call in `symplectic_eigenvalues`; a longer stack goes
+#: through in chunks of this many, which bounds the solver's temporaries.
+SPECTRUM_CHUNK = 64
 
 
 def _readonly(matrix) -> np.ndarray:
@@ -75,6 +83,21 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return _readonly(np.kron(np.eye(n_modes), J))
 
 
+def _symmetrised(stack: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 for each matrix m of a stack of shape (..., d, d).
+
+    Rejects non-finite entries, and asymmetry beyond `SYMMETRY_TOL` relative
+    to each matrix's largest entry, as `CovarianceMatrix` does.
+    """
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("covariance matrix entries must be finite")
+    transposed = np.swapaxes(stack, -1, -2)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    if np.any(np.abs(stack - transposed).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+        raise ValueError("covariance matrix must be symmetric")
+    return (stack + transposed) / 2.0
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Real symmetric 2n x 2n covariance matrix in vacuum units (vacuum = identity).
@@ -92,13 +115,7 @@ class CovarianceMatrix:
             raise ValueError("covariance matrix must be square")
         if m.shape[0] == 0 or m.shape[0] % 2:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix entries must be finite")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
-            raise ValueError("covariance matrix must be symmetric")
-        m = (m + m.T) / 2.0
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", _readonly(_symmetrised(m)))
 
     @property
     def n_modes(self) -> int:
@@ -144,7 +161,8 @@ def is_physical(cm: CovarianceMatrix, tol: float = SEPARABILITY_TOL) -> bool:
     coarser than `tol`, as for the verdicts.
     """
     spectrum = symplectic_eigenvalues(cm)
-    return float(spectrum[0]) >= 1.0 - max(tol, _eigenvalue_resolution(float(spectrum[-1])))
+    band = max(tol, float(_eigenvalue_resolution(float(spectrum[-1]))))
+    return float(spectrum[0]) >= 1.0 - band
 
 
 def partial_transpose(cm: CovarianceMatrix, mode: int) -> CovarianceMatrix:
@@ -158,26 +176,39 @@ def partial_transpose(cm: CovarianceMatrix, mode: int) -> CovarianceMatrix:
     return CovarianceMatrix(cm.matrix * np.outer(signs, signs))
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
-    """Symplectic eigenvalues of `cm`, ascending, for any number of modes.
+def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues, ascending, of a CM or of each matrix of a stack.
 
-    The eigenvalues of the Hermitian matrix sqrt(cm) (i form) sqrt(cm) are
-    +-s_j, so a symmetric eigensolver applies and resolves every eigenvalue
-    of that matrix, clustered or not, to about machine epsilon times the
-    largest one.  With a = sqrt(cm) form sqrt(cm), the real symmetric matrix
-    [[0, -a], [a, 0]] is that Hermitian matrix written out in real and
-    imaginary parts: it has the same eigenvalues, each twice, and keeps the
-    solver in real arithmetic.
+    `cm` is a CovarianceMatrix, or an array of shape (..., 2n, 2n) of real
+    symmetric matrices for any number of modes n; the result has shape
+    (..., n).  The eigenvalues of the Hermitian matrix sqrt(cm) (i form)
+    sqrt(cm) are +-s_j, so a symmetric eigensolver applies and resolves every
+    eigenvalue of that matrix, clustered or not, to about machine epsilon
+    times the largest one.  With a = sqrt(cm) form sqrt(cm), the real
+    symmetric matrix [[0, -a], [a, 0]] is that Hermitian matrix written out
+    in real and imaginary parts: it has the same eigenvalues, each twice, and
+    keeps the solver in real arithmetic.
+
+    A stack goes through the solvers `SPECTRUM_CHUNK` matrices at a time.
+    SpectrumError is raised when any matrix is not positive semidefinite.
     """
-    w, v = np.linalg.eigh(cm.matrix)
-    if w[0] < -_eigenvalue_resolution(float(w[-1])):
-        raise SpectrumError("matrix is not positive semidefinite")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    dim = 2 * cm.n_modes
-    real_form = np.zeros((2 * dim, 2 * dim))
-    real_form[dim:, :dim] = root @ symplectic_form(cm.n_modes) @ root
-    real_form[:dim, dim:] = -real_form[dim:, :dim]
-    return np.linalg.eigvalsh(real_form)[dim::2]
+    stack = cm.matrix if isinstance(cm, CovarianceMatrix) else np.asarray(cm, dtype=float)
+    dim = stack.shape[-1] if stack.ndim >= 2 else 0
+    if dim == 0 or dim % 2 or stack.shape[-2] != dim:
+        raise ValueError("expected a CovarianceMatrix or an array of shape (..., 2n, 2n)")
+    flat = stack.reshape(-1, dim, dim)
+    form = symplectic_form(dim // 2)
+    out = np.empty((flat.shape[0], dim // 2))
+    for start in range(0, flat.shape[0], SPECTRUM_CHUNK):
+        w, v = np.linalg.eigh(flat[start : start + SPECTRUM_CHUNK])
+        if np.any(w[:, 0] < -_eigenvalue_resolution(w[:, -1])):
+            raise SpectrumError("matrix is not positive semidefinite")
+        root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v, -1, -2)
+        real_form = np.zeros((w.shape[0], 2 * dim, 2 * dim))
+        real_form[:, dim:, :dim] = root @ form @ root
+        real_form[:, :dim, dim:] = -real_form[:, dim:, :dim]
+        out[start : start + w.shape[0]] = np.linalg.eigvalsh(real_form)[:, dim::2]
+    return out.reshape(stack.shape[:-2] + (dim // 2,))
 
 
 def separability_product(cm: CovarianceMatrix, mode: int) -> float:
@@ -212,10 +243,11 @@ def log_negativity(nu: float) -> float:
 _RESOLUTION_SAFETY = 100.0
 
 
-def _eigenvalue_resolution(s_max: float) -> float:
+def _eigenvalue_resolution(s_max):
     # Rounding in the Hermitian form perturbs every symplectic eigenvalue by
-    # about machine epsilon times the largest one (Weyl bound).
-    return _RESOLUTION_SAFETY * float(np.finfo(float).eps) * max(1.0, s_max)
+    # about machine epsilon times the largest one (Weyl bound).  Elementwise
+    # over arrays; fmax ignores a NaN like the built-in max(1.0, s_max).
+    return _RESOLUTION_SAFETY * float(np.finfo(float).eps) * np.fmax(1.0, s_max)
 
 
 def _mode_names(n_modes: int) -> str:
@@ -250,11 +282,15 @@ def ppt_verdict(
     distinctions numerically meaningless; the effective band is recorded in
     the verdict's tolerance field.
     """
-    spectrum = symplectic_eigenvalues(partial_transpose(cm, mode))
+    return _ppt_classified(symplectic_eigenvalues(partial_transpose(cm, mode)), mode, tol)
+
+
+def _ppt_classified(spectrum: np.ndarray, mode: int, tol: float) -> SeparabilityVerdict:
+    # The PPT verdict of `ppt_verdict` from the PT spectrum at `mode`.
     witness = float(spectrum[0])
-    effective_tol = max(tol, _eigenvalue_resolution(float(spectrum[-1])))
+    effective_tol = max(tol, float(_eigenvalue_resolution(float(spectrum[-1]))))
     return SeparabilityVerdict(
-        bipartition=_bipartition_label(cm.n_modes, mode),
+        bipartition=_bipartition_label(spectrum.size, mode),
         status=_classify(witness, 1.0, effective_tol),
         witness=witness,
         criterion="ppt_eigenvalue",
@@ -277,17 +313,21 @@ def sigma_verdict(
     resolution; below that the sign of the computed product carries no
     information and the verdict honestly reads "boundary".
     """
-    spectrum = symplectic_eigenvalues(partial_transpose(cm, mode))
+    return _sigma_classified(symplectic_eigenvalues(partial_transpose(cm, mode)), mode, tol)
+
+
+def _sigma_classified(spectrum: np.ndarray, mode: int, tol: float) -> SeparabilityVerdict:
+    # The sigma verdict of `sigma_verdict` from the PT spectrum at `mode`.
     factors = spectrum**2 - 1.0
     witness = float(np.prod(factors))
-    u = _eigenvalue_resolution(float(spectrum[-1]))
+    u = float(_eigenvalue_resolution(float(spectrum[-1])))
     resolution = 0.0
     for j in range(spectrum.size):
         others = np.prod(np.abs(np.delete(factors, j)))
         resolution += 2.0 * float(spectrum[j]) * u * float(others)
     effective_tol = max(tol, resolution)
     return SeparabilityVerdict(
-        bipartition=_bipartition_label(cm.n_modes, mode),
+        bipartition=_bipartition_label(spectrum.size, mode),
         status=_classify(witness, 0.0, effective_tol),
         witness=witness,
         criterion="sigma",

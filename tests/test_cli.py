@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,32 @@ class TestDistribute:
         assert run_cli(capsys, "distribute", "--e2t", "2", "--x", "fast")[0] == EXIT_USAGE
         assert run_cli(capsys, "distribute", "--e2t", "2", "--x", "-1")[0] == EXIT_USAGE
         assert run_cli(capsys, "no-such-command")[0] == EXIT_USAGE
+
+
+class TestDoubleRange:
+    """Inputs whose computation overflows double precision exit 64 with one line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("distribute", "--e2t", "1e300", "--format", "json"),
+            ("distribute", "--e2t", "2", "--x", "1e308"),
+            ("distribute", "--e2t", "2", "--excess", "1e308"),
+            ("recover", "--e2t", "2", "--gain", "1e308,0,0,1e308"),
+            ("sweep", "--e2t-stop", "1e300", "--points", "3"),
+        ],
+    )
+    def test_exits_64_with_one_line(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("sepdist: error: ")
+        assert "double-precision range" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert caught == []
 
 
 class TestRecover:

@@ -361,6 +361,74 @@ class TestSweep:
             sweep(np.array([]))
 
 
+class TestBatchParity:
+    """A sweep is one batch; each row equals the single run at its grid point."""
+
+    @pytest.mark.parametrize(
+        "t_grid, x_policy, excess",
+        [
+            (0.5 * np.log(np.geomspace(1.1, 1e6, 40)), "auto", 0.0),
+            (0.5 * np.log(np.geomspace(1.1, 1e3, 7)), 0.5, 10.0),
+            (np.array([T_3DB]), "auto", 0.0),
+        ],
+        ids=["auto-40", "manual-excess", "single"],
+    )
+    def test_rows_equal_single_runs(self, t_grid, x_policy, excess):
+        result = sweep(t_grid, x_policy=x_policy, excess=excess)
+        assert len(result.rows) == len(t_grid)
+        for t, row in zip(t_grid, result.rows):
+            params = ProtocolParams(t=float(t), x=x_policy, excess=excess)
+            report = run_distribution_protocol(params)
+            assert row.e2t == report.params.e2t
+            assert row.x == report.params.resolved_x
+            assert row.tau3 == report.carrier_ppt_min
+            assert row.omega3 == report.sender_ppt_min
+            assert row.sigma == report.carrier_sigma
+            assert row.nu == report.nu
+            assert row.log_negativity == report.log_negativity
+
+    def test_failing_point_raises_its_error(self):
+        # e2t = 1e4 with x = 0 is the known false rejection of a physical
+        # state; the batch reports it as the single run there does.
+        t_grid = 0.5 * np.log(np.array([2.0, 10.0, 1e4, 20.0]))
+        with pytest.raises(ConsistencyError, match="^step 2 CM is not physical$"):
+            sweep(t_grid, x_policy=0.0)
+        with pytest.raises(ConsistencyError, match="^step 2 CM is not physical$"):
+            run_distribution_protocol(ProtocolParams(t=float(t_grid[2]), x=0.0))
+
+    def test_corrupted_closed_form_fails_the_sweep(self, monkeypatch):
+        import sepdist.protocol as protocol_module
+
+        original = protocol_module._mixed_state_explicit
+        monkeypatch.setattr(
+            protocol_module,
+            "_mixed_state_explicit",
+            lambda t, x, excess: original(t, x, excess) + 1e-6,
+        )
+        with pytest.raises(ConsistencyError, match="^mixed state differs from closed form"):
+            sweep(0.5 * np.log(np.geomspace(1.1, 10.0, 5)))
+
+    def test_thirteen_spectra_per_point(self, monkeypatch):
+        import sepdist.protocol as protocol_module
+        import sepdist.symplectic as symplectic_module
+
+        original = symplectic_module.symplectic_eigenvalues
+        received = []
+
+        def counting(cm):
+            shape = cm.matrix.shape if hasattr(cm, "matrix") else np.shape(cm)
+            received.append(int(np.prod(shape[:-2])))
+            return original(cm)
+
+        for module in (symplectic_module, protocol_module):
+            monkeypatch.setattr(module, "symplectic_eigenvalues", counting)
+        sweep(0.5 * np.log(np.geomspace(1.1, 1e6, 40)))
+        assert sum(received) == 13 * 40
+        received.clear()
+        run_distribution_protocol(ProtocolParams(t=T_3DB))
+        assert sum(received) == 13
+
+
 class TestConsistencyGuards:
     def test_cross_check_trips_on_corrupted_closed_form(self, monkeypatch):
         import sepdist.protocol as protocol_module

@@ -7,6 +7,7 @@ import pytest
 
 from sepdist.states import two_mode_squeezed_cm
 from sepdist.symplectic import (
+    SPECTRUM_CHUNK,
     CovarianceMatrix,
     SpectrumError,
     is_physical,
@@ -212,6 +213,42 @@ class TestSymplecticEigenvalues:
         # Negative-determinant single mode has no real symplectic spectrum.
         with pytest.raises(SpectrumError):
             symplectic_eigenvalues(CovarianceMatrix(np.diag([1.0, -1.0])))
+
+
+class TestStackedSpectra:
+    """A stack of shape (..., 2n, 2n) gives bit for bit the per-matrix spectra."""
+
+    @staticmethod
+    def _stack(rng, shape, n_modes):
+        matrices = [random_cm(n_modes, rng)[0].matrix for _ in range(int(np.prod(shape)))]
+        return np.array(matrices).reshape(*shape, 2 * n_modes, 2 * n_modes)
+
+    def test_three_mode_stack_over_several_chunks(self, rng):
+        # 140 matrices: more than one chunk, the last one partial.
+        assert 140 > SPECTRUM_CHUNK and 140 % SPECTRUM_CHUNK
+        stack = self._stack(rng, (2, 70), 3)
+        got = symplectic_eigenvalues(stack)
+        assert got.shape == (2, 70, 3)
+        want = [[symplectic_eigenvalues(CovarianceMatrix(m)) for m in row] for row in stack]
+        assert np.array_equal(got, np.array(want))
+
+    def test_two_mode_stack(self, rng):
+        stack = self._stack(rng, (5,), 2)
+        got = symplectic_eigenvalues(stack)
+        assert got.shape == (5, 2)
+        assert np.array_equal(got, [symplectic_eigenvalues(CovarianceMatrix(m)) for m in stack])
+
+    @pytest.mark.parametrize("position", [0, 63, 64, 139])
+    def test_one_non_psd_matrix_raises(self, rng, position):
+        stack = self._stack(rng, (140,), 3)
+        stack[position] = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(SpectrumError):
+            symplectic_eigenvalues(stack.reshape(2, 70, 6, 6))
+
+    def test_rejects_non_square_or_odd(self):
+        for shape in ((6,), (3, 6, 4), (2, 5, 5), (0, 0)):
+            with pytest.raises(ValueError):
+                symplectic_eigenvalues(np.zeros(shape))
 
 
 class TestInvariants:
